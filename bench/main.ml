@@ -1121,10 +1121,12 @@ let corpus_bench () =
   rowf
     "  session cache (sequential run): %d hits, %d misses, %d GreedyDual \
      evictions\n\
-    \  (%d tenants over %d slots — eviction counts ride on measured build \
+    \  (lookups include the %d check jobs, served from their grammar's \
+     translator session;\n\
+    \   %d tenants over %d slots — eviction counts ride on measured build \
      weights,\n\
     \   so they are informational, not gated)\n"
-    hits misses evictions spec.Lg_corpus.Emit.s_grammars
+    hits misses evictions n_check spec.Lg_corpus.Emit.s_grammars
     (Lg_server.Session.capacity seq_sessions);
   (* backpressure: fill a small pool with jobs that cannot finish until
      released; accepted work is bounded by workers + queue slots and the

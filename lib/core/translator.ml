@@ -11,6 +11,7 @@ type t = {
 }
 
 let interner t = t.names
+let artifact t = t.artifact
 let ir t = t.artifact.Driver.ir
 let plan t = t.artifact.Driver.plan
 let parse_tables t = t.tables
@@ -27,8 +28,18 @@ let assemble ~intrinsics ~scanner artifact =
     intrinsics;
   }
 
+(* A translator never reads the listing or the per-pass Pascal modules,
+   and rendering them costs about a third of a driver run: every build
+   turns both overlays off, whatever the caller's options say. *)
+let lean options =
+  {
+    (Option.value options ~default:Driver.default_options) with
+    Driver.emit_listing = false;
+    emit_code = false;
+  }
+
 let make ?options ?(intrinsics = fun _ _ -> None) ~scanner ~ag_source ~file () =
-  match Driver.process ?options ~file ag_source with
+  match Driver.process ~options:(lean options) ~file ag_source with
   | Error diag -> Error diag
   | Ok artifact -> Ok (assemble ~intrinsics ~scanner artifact)
 
@@ -81,7 +92,7 @@ let symbolic_intrinsics (token : Lg_scanner.Engine.token) attr =
       Some (Value.Int v)
 
 let of_source ?options ?(intrinsics = symbolic_intrinsics) ~ag_source ~file () =
-  match Driver.process ?options ~file ag_source with
+  match Driver.process ~options:(lean options) ~file ag_source with
   | Error diag -> Error diag
   | Ok artifact ->
       Ok

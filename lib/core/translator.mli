@@ -21,6 +21,10 @@ type t
 val interner : t -> Lg_support.Interner.t
 (** The translator's name table ([NAME] intrinsics index into it). *)
 
+val artifact : t -> Driver.artifact
+(** The driver artifact the translator was built from. Its [modules] are
+    always empty and its [listing] is [""]: see {!make}. *)
+
 val ir : t -> Ir.t
 val plan : t -> Plan.t
 val parse_tables : t -> Lg_lalr.Tables.t
@@ -37,7 +41,12 @@ val make :
 (** Build a translator from an AG source text. Scanner token kinds must
     coincide with the AG's terminal names (unknown kinds are reported when
     encountered). [intrinsics token attr_name] supplies values for
-    intrinsic attributes beyond the conventional four. *)
+    intrinsic attributes beyond the conventional four.
+
+    [options] (default {!Driver.default_options}) configures the driver
+    run, except that its emission flags are ignored: a translator is
+    always built with [emit_listing = false] and [emit_code = false],
+    since it never reads the listing or the generated Pascal. *)
 
 val make_exn :
   ?options:Driver.options ->
@@ -78,7 +87,8 @@ val of_source :
     {!symbolic_scanner} derived from the checked grammar and
     {!symbolic_intrinsics} as the default callback. This is the path
     that serves arbitrary (e.g. corpus-generated) grammars as batch/serve
-    tenants without a hand-written scanner. *)
+    tenants without a hand-written scanner. As in {!make}, the emission
+    flags of [options] are ignored. *)
 
 type translation = {
   outputs : (string * Lg_support.Value.t) list;

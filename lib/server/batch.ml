@@ -161,6 +161,12 @@ let tenant_translator ~sessions = function
       Session.translator_session sessions ~file:path ~source:(read_file path)
         ()
 
+(* every session a job resolves is a translator session *)
+let translator_of (session : Session.t) =
+  match session.Session.s_payload with
+  | Session.Translator t -> t
+  | Session.Artifact _ -> assert false
+
 let count_lines source =
   let n = String.length source in
   let lines = ref 0 in
@@ -224,40 +230,24 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
     in
     let engine_options = engine_options_of j ~dir in
     match j.Jobfile.j_op with
-    | Jobfile.Check -> (
-        let options =
-          {
-            Linguist.Driver.default_options with
-            apt_backend = engine_options.Linguist.Engine.backend;
-            depth_budget = engine_options.Linguist.Engine.depth_budget;
-            node_budget = engine_options.Linguist.Engine.node_budget;
-          }
+    | Jobfile.Check ->
+        (* the grammar's translator session: a check and the grammar's
+           translations share one cache entry and one build *)
+        let session =
+          Session.translator_session sessions ~file:j.Jobfile.j_file ~source ()
         in
-        match
-          Linguist.Driver.process ~options ~file:j.Jobfile.j_file source
-        with
-        | Ok artifact -> finish ~ok:true ~code:0 ~error:None (check_payload artifact)
-        | Error diag ->
-            failed ~code:1
-              (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag))
+        finish ~ok:true ~code:0 ~error:None
+          (check_payload (Linguist.Translator.artifact (translator_of session)))
     | Jobfile.Analyze ->
-        let session = Session.language_session sessions "linguist" in
         let translator =
-          match session.Session.s_payload with
-          | Session.Translator t -> t
-          | Session.Artifact _ -> assert false
+          translator_of (Session.language_session sessions "linguist")
         in
         let a =
           Lg_languages.Linguist_ag.analyze ~engine_options ~translator source
         in
         finish ~ok:true ~code:0 ~error:None (analyze_payload a)
     | Jobfile.Translate tenant -> (
-        let session = tenant_translator ~sessions tenant in
-        let translator =
-          match session.Session.s_payload with
-          | Session.Translator t -> t
-          | Session.Artifact _ -> assert false
-        in
+        let translator = translator_of (tenant_translator ~sessions tenant) in
         match
           Linguist.Translator.translate ~engine_options translator
             ~file:j.Jobfile.j_file source
@@ -268,11 +258,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
               (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag))
     | Jobfile.Update tenant -> (
         let session = tenant_translator ~sessions tenant in
-        let translator =
-          match session.Session.s_payload with
-          | Session.Translator t -> t
-          | Session.Artifact _ -> assert false
-        in
+        let translator = translator_of session in
         let diag = Lg_support.Diag.create () in
         match
           Linguist.Translator.tree_of_source translator ~file:j.Jobfile.j_file
@@ -337,29 +323,32 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
 let default_workers () =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
+(* The key a grammar text caches under: the one
+   [Session.translator_session] builds it with. *)
+let grammar_digest ~file source =
+  ( Session.digest ~kind:"translator" ~source,
+    "translator:" ^ Filename.basename file )
+
+let tenant_digest = function
+  | Jobfile.Language lang ->
+      Some (Session.digest ~kind:"language" ~source:lang, "language:" ^ lang)
+  | Jobfile.Grammar path -> (
+      match read_file path with
+      | source -> Some (grammar_digest ~file:path source)
+      | exception _ -> None)
+
 (* The session a job holds responsible when it takes a worker down: the
    digest its tenant would cache under, so strikes line up with what
-   [find_or_build] will refuse once quarantined. [Check] compiles fresh
-   every time — no session, no one to strike. *)
+   [find_or_build] will refuse once quarantined. A [Check] is a job on
+   its grammar, whose text is the job's own input. *)
 let culprit (j : Jobfile.job) =
-  let of_tenant = function
-    | Jobfile.Language lang ->
-        Some (Session.digest ~kind:"language" ~source:lang, "language:" ^ lang)
-    | Jobfile.Grammar path -> (
-        match read_file path with
-        | source ->
-            Some
-              ( Session.digest ~kind:"translator" ~source,
-                "translator:" ^ Filename.basename path )
-        | exception _ -> None)
-  in
   match j.Jobfile.j_op with
-  | Jobfile.Check -> None
-  | Jobfile.Analyze ->
-      Some
-        ( Session.digest ~kind:"language" ~source:"linguist",
-          "language:linguist" )
-  | Jobfile.Translate t | Jobfile.Update t -> of_tenant t
+  | Jobfile.Check -> (
+      match j.Jobfile.j_source with
+      | Some source -> Some (grammar_digest ~file:j.Jobfile.j_file source)
+      | None -> tenant_digest (Jobfile.Grammar j.Jobfile.j_file))
+  | Jobfile.Analyze -> tenant_digest (Jobfile.Language "linguist")
+  | Jobfile.Translate t | Jobfile.Update t -> tenant_digest t
 
 (* admission control, ahead of everything else in the thunk (including
    chaos injection): a job naming a quarantined session is refused with

@@ -66,15 +66,26 @@ val run_job :
     Without [incremental], [update] jobs still answer correctly but
     evaluate from scratch and keep no per-document state. *)
 
+val check_payload : Linguist.Driver.artifact -> Lg_support.Json_out.t
+(** A [check] job's result document: pass count, first pass direction,
+    diagnostic count and source lines of the compiled grammar. *)
+
 val default_workers : unit -> int
 (** [min 4 (recommended_domain_count - 1)], at least 1. *)
+
+val tenant_digest : Jobfile.tenant -> (string * string) option
+(** [(digest, label)] of the session a tenant is served from: a
+    built-in language by name, a grammar file by the digest of its
+    text ({!Session.translator_session}'s key). [None] when the grammar
+    file cannot be read. *)
 
 val culprit : Jobfile.job -> (string * string) option
 (** [(digest, label)] of the session a job would be served from — the
     digest its tenant caches under, the one {!failure_outcome} strikes
-    and the serve front-end's per-tenant accounting charges. [None] for
-    [check] jobs (compiled fresh, no session) and for a grammar tenant
-    whose file cannot be read. *)
+    and the serve front-end's per-tenant accounting charges. A [check]
+    job's session is its grammar's translator session, keyed by the
+    job's input text (inline source first, else the file). [None] when
+    a grammar file cannot be read. *)
 
 val quarantine_gate : sessions:Session.cache -> Jobfile.job -> unit
 (** Admission control: raises the typed

@@ -203,19 +203,6 @@ let supervised_error e extra =
         (("exit", int (Server_error.exit_code se)) :: extra)
   | e -> error_response (Printexc.to_string e) extra
 
-(* the accounting digest of an [update] op's tenant — the same key
-   Batch.culprit answers for jobfile entries *)
-let update_tenant_digest = function
-  | Jobfile.Language lang ->
-      Some (Session.digest ~kind:"language" ~source:lang, "language:" ^ lang)
-  | Jobfile.Grammar path -> (
-      match read_file path with
-      | source ->
-          Some
-            ( Session.digest ~kind:"translator" ~source,
-              "translator:" ^ Filename.basename path )
-      | exception _ -> None)
-
 let safe_filename id =
   String.map
     (fun c ->
@@ -715,7 +702,7 @@ let handle_request st ~rt ~trace doc =
           let charged = Atomic.make false in
           let charge ~ok ~exit_code ~queue_wait ~service =
             if not (Atomic.exchange charged true) then
-              match update_tenant_digest tenant with
+              match Batch.tenant_digest tenant with
               | Some (digest, tenant_label) ->
                   Ledger.charge st.tenants ~digest ~label:tenant_label ~ok
                     ~exit_code ~queue_wait ~service

@@ -417,24 +417,13 @@ let doc_slot c ~digest ~doc =
 
 let doc_count c = locked c (fun () -> Hashtbl.length c.docs)
 
-let grammar_session c ?(options = Linguist.Driver.default_options) ~file ~source
-    () =
-  let key = digest ~kind:"grammar" ~source in
-  find_or_build c ~digest:key ~label:("grammar:" ^ Filename.basename file)
-    ~build:(fun () ->
-      match Linguist.Driver.process ~options ~file source with
-      | Ok artifact -> Artifact artifact
-      | Error diag ->
-          failwith (Linguist.Listing.errors_only ~source ~file diag))
-    ()
-
-let translator_session c ?options ~file ~source () =
+let translator_session c ~file ~source () =
   let key = digest ~kind:"translator" ~source in
   find_or_build c ~digest:key
     ~label:("translator:" ^ Filename.basename file)
     ~build:(fun () ->
       match
-        Linguist.Translator.of_source ?options ~ag_source:source ~file ()
+        Linguist.Translator.of_source ~ag_source:source ~file ()
       with
       | Ok t -> Translator t
       | Error diag ->

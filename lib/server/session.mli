@@ -1,12 +1,14 @@
 (** Compiled-grammar sessions and their cost-aware cache.
 
     A session is the expensive, immutable part of serving a job: a
-    grammar pushed through the whole {!Linguist.Driver} pipeline — parse
-    tables, evaluation plan, generated code — or a ready-made language
-    translator from {!Lg_languages}. Building one costs seconds; every
-    job that evaluates against the same grammar shares the same session,
-    so a batch of N inputs compiles once and evaluates N times (the
-    paper's one-grammar/many-translations economics).
+    grammar compiled into a {!Linguist.Translator} — driver artifact,
+    evaluation plan, parse tables, scanner — or a ready-made language
+    translator from {!Lg_languages}. Building one costs milliseconds to
+    seconds; every job on the same grammar shares the same session, so
+    a batch of N inputs compiles once and evaluates N times (the paper's
+    one-grammar/many-translations economics). A [check] job of a grammar
+    file is served from that grammar's translator session too: one
+    build answers both the check and every translation.
 
     Sessions are keyed by a {!digest} of what they were built from and
     held in a bounded cache. The cache is concurrency-aware: when
@@ -45,10 +47,11 @@
 
 type payload =
   | Artifact of Linguist.Driver.artifact
-      (** a grammar compiled by the native driver (check/stats jobs) *)
+      (** a bare driver artifact, for callers that cache analysis
+          results of their own; no job kind builds one *)
   | Translator of Linguist.Translator.t
-      (** a complete translator: tables + plan + scanner + name table
-          (analyze/translate jobs) — safe to share across domains *)
+      (** a complete translator: artifact + tables + plan + scanner +
+          name table (every job kind) — safe to share across domains *)
 
 type t = {
   s_digest : string;
@@ -177,20 +180,8 @@ val doc_count : cache -> int
 
 (** {1 Standard sessions} *)
 
-val grammar_session :
-  cache ->
-  ?options:Linguist.Driver.options ->
-  file:string ->
-  source:string ->
-  unit ->
-  t
-(** An {!Artifact} session: [source] through every driver overlay.
-    @raise Failure with the rendered diagnostics when the grammar has
-    errors. *)
-
 val translator_session :
   cache ->
-  ?options:Linguist.Driver.options ->
   file:string ->
   source:string ->
   unit ->
@@ -198,9 +189,9 @@ val translator_session :
 (** A {!Translator} session for an arbitrary [.ag] source — compiled
     with the grammar-derived symbolic scanner
     ({!Linguist.Translator.of_source}), keyed by the source's content
-    digest. This is how ["grammar"]-tenant translate/update jobs share
-    one compilation per distinct grammar text (the corpus multi-tenant
-    path; see [docs/CORPUS.md]).
+    digest. This is how ["grammar"]-tenant translate/update jobs and
+    [check] jobs of the same grammar text share one compilation (the
+    corpus multi-tenant path; see [docs/CORPUS.md]).
     @raise Failure with the rendered diagnostics when the grammar has
     errors. *)
 

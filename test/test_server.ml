@@ -465,6 +465,134 @@ let test_batch_missing_file () =
         o.Batch.o_exit
   | _ -> Alcotest.fail "one job, one outcome"
 
+(* ---------------- check jobs share the grammar's session ---------------- *)
+
+let json = Lg_support.Json_out.to_string
+
+(* The cached check answers exactly what a fresh driver run with the
+   default (emitting) options answers, for the hand-written grammars and
+   for generated small and medium tenants. *)
+let test_check_differential () =
+  let grammars =
+    Sys.readdir "../grammars" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ag")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let path = Filename.concat "../grammars" f in
+           (path, In_channel.with_open_bin path In_channel.input_all))
+  in
+  let generated profile seeds =
+    List.map
+      (fun seed ->
+        let name =
+          Printf.sprintf "%s%d" (Lg_corpus.Corpus_gen.profile_name profile) seed
+        in
+        let g =
+          Lg_corpus.Corpus_gen.generate ~name
+            (Lg_corpus.Corpus_gen.config_of_profile profile)
+            ~seed
+        in
+        (name ^ ".ag", g.Lg_corpus.Corpus_gen.g_source))
+      seeds
+  in
+  let cases =
+    grammars
+    @ generated Lg_corpus.Corpus_gen.Small [ 1; 2; 3; 4 ]
+    @ generated Lg_corpus.Corpus_gen.Medium [ 1; 2 ]
+  in
+  Alcotest.(check bool) "the hand-written grammars are covered" true
+    (List.length grammars >= 5);
+  let sessions = Session.create_cache ~capacity:(List.length cases) () in
+  List.iter
+    (fun (file, source) ->
+      let expected =
+        match
+          Linguist.Driver.process ~options:Linguist.Driver.default_options
+            ~file source
+        with
+        | Ok a -> Batch.check_payload a
+        | Error _ -> Alcotest.failf "%s: grammar rejected" file
+      in
+      let o =
+        Batch.run_job ~sessions (Jobfile.make ~source ~op:Jobfile.Check ~file ())
+      in
+      Alcotest.(check bool) (file ^ " ok") true o.Batch.o_ok;
+      Alcotest.(check string) (file ^ " payload") (json expected)
+        (json o.Batch.o_payload))
+    cases;
+  Alcotest.(check (pair int int)) "one build per grammar, no hits"
+    (0, List.length cases) (Session.stats sessions)
+
+(* A translate and then a check of one grammar file: one build, one
+   hit, one resident entry — and one culprit digest for both. *)
+let test_check_shares_translate_session () =
+  let g =
+    Lg_corpus.Corpus_gen.generate ~name:"shared"
+      (Lg_corpus.Corpus_gen.config_of_profile Lg_corpus.Corpus_gen.Small)
+      ~seed:5
+  in
+  let path = Filename.temp_file "server_shared" ".ag" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc g.Lg_corpus.Corpus_gen.g_source;
+  close_out oc;
+  let input =
+    Lg_corpus.Corpus_gen.sentence
+      (Lg_corpus.Corpus_gen.build_exn g)
+      ~seed:9 ~size:20
+  in
+  let translate =
+    Jobfile.make ~source:input
+      ~op:(Jobfile.Translate (Jobfile.Grammar path))
+      ~file:"input.txt" ()
+  in
+  let check = Jobfile.make ~op:Jobfile.Check ~file:path () in
+  Alcotest.(check bool) "one culprit digest" true
+    (Batch.culprit check = Batch.culprit translate && Batch.culprit check <> None);
+  let sessions = Session.create_cache () in
+  let o = Batch.run_job ~sessions translate in
+  Alcotest.(check bool) "translate ok" true o.Batch.o_ok;
+  Alcotest.(check (pair int int)) "translate builds" (0, 1)
+    (Session.stats sessions);
+  let o = Batch.run_job ~sessions check in
+  Alcotest.(check bool) "check ok" true o.Batch.o_ok;
+  Alcotest.(check (pair int int)) "check hits" (1, 1) (Session.stats sessions);
+  Alcotest.(check int) "one resident session" 1 (Session.length sessions)
+
+(* An ill-formed grammar still fails its check with exit 1 and the
+   driver's errors-only text, and leaves nothing in the cache. *)
+let test_check_ill_formed () =
+  let file = "broken.ag" in
+  let source = Lg_languages.Desk_calc.ag_source ^ "\n%% this is not an AG\n" in
+  let expected =
+    match Linguist.Driver.process ~options:Linguist.Driver.default_options ~file source with
+    | Ok _ -> Alcotest.fail "the broken grammar was accepted"
+    | Error diag -> Linguist.Listing.errors_only ~source ~file diag
+  in
+  let sessions = Session.create_cache () in
+  let o =
+    Batch.run_job ~sessions (Jobfile.make ~source ~op:Jobfile.Check ~file ())
+  in
+  Alcotest.(check bool) "check failed" false o.Batch.o_ok;
+  Alcotest.(check int) "exit 1" 1 o.Batch.o_exit;
+  Alcotest.(check (option string)) "errors-only text" (Some expected)
+    o.Batch.o_error;
+  Alcotest.(check int) "no cache entry" 0 (Session.length sessions)
+
+(* Session builds are lean: no listing, no generated Pascal. *)
+let test_language_sessions_lean () =
+  let sessions = Session.create_cache () in
+  List.iter
+    (fun name ->
+      match (Session.language_session sessions name).Session.s_payload with
+      | Session.Translator t ->
+          let a = Linguist.Translator.artifact t in
+          Alcotest.(check int) (name ^ " modules") 0
+            (List.length a.Linguist.Driver.modules);
+          Alcotest.(check string) (name ^ " listing") "" a.Linguist.Driver.listing
+      | Session.Artifact _ -> Alcotest.failf "%s: not a translator" name)
+    (Session.language_names ())
+
 (* ---------------- supervision: crashes and deadlines ---------------- *)
 
 let counter metrics name =
@@ -1398,6 +1526,17 @@ let () =
             test_batch_missing_file;
           Alcotest.test_case "corpus pooled = sequential, byte-identical"
             `Quick test_batch_corpus_differential;
+        ] );
+      ( "check",
+        [
+          Alcotest.test_case "cached check = fresh driver run" `Quick
+            test_check_differential;
+          Alcotest.test_case "check after translate is one hit" `Quick
+            test_check_shares_translate_session;
+          Alcotest.test_case "ill-formed grammar fails, caches nothing"
+            `Quick test_check_ill_formed;
+          Alcotest.test_case "language sessions are lean" `Quick
+            test_language_sessions_lean;
         ] );
       ( "supervision",
         [
