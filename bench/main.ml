@@ -31,9 +31,9 @@ let has_prefix ~prefix s =
 
 let wall_time f =
   (* monotonic wall-clock seconds for a single run *)
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let result = f () in
-  (result, Sys.time () -. t0)
+  (result, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
 
 let bechamel_tests : Bechamel.Test.t list ref = ref []
 

@@ -46,6 +46,7 @@ type outcome = {
   o_error : string option;
   o_payload : Lg_support.Json_out.t;
   o_seconds : float;
+  o_incremental : (string * Lg_incremental.Incr.mode) option;
 }
 
 type summary = {
@@ -139,7 +140,8 @@ let translate_payload (tr : Linguist.Translator.translation) =
    with a worker pool, same-doc updates may run in any order, so which
    one finds cached state is nondeterministic — but the outputs are not
    (the differential contract), and only they are emitted, keeping
-   [to_json ~timings:false] byte-identical across worker counts. *)
+   [to_json ~timings:false] byte-identical across worker counts. The
+   mode travels beside the payload, in [o_incremental]. *)
 let update_payload ~outputs ~tree_size ~input_lines =
   Obj
     [
@@ -176,7 +178,7 @@ let count_lines source =
 
 let run_job ~sessions ?incremental (j : Jobfile.job) =
   let t0 = Unix.gettimeofday () in
-  let finish ~ok ~code ~error payload =
+  let finish ?incremental ~ok ~code ~error payload =
     {
       o_id = j.Jobfile.j_id;
       o_op = Jobfile.op_name j.Jobfile.j_op;
@@ -186,6 +188,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
       o_error = error;
       o_payload = payload;
       o_seconds = Unix.gettimeofday () -. t0;
+      o_incremental = incremental;
     }
   in
   (* A typed store error names the APT file it caught — a path inside
@@ -305,7 +308,9 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
                       slot.Session.doc_state <- next;
                       result)
             in
-            finish ~ok:true ~code:0 ~error:None
+            finish
+              ~incremental:(session.Session.s_digest, result.Lg_incremental.Incr.mode)
+              ~ok:true ~code:0 ~error:None
               (update_payload ~outputs:result.Lg_incremental.Incr.outputs
                  ~tree_size:result.Lg_incremental.Incr.tree_size
                  ~input_lines:(count_lines source)))
@@ -329,6 +334,9 @@ let grammar_digest ~file source =
   ( Session.digest ~kind:"translator" ~source,
     "translator:" ^ Filename.basename file )
 
+(* The session a translate/update tenant is served from: a built-in by
+   name, a grammar file by the digest of its text; [None] when the file
+   cannot be read. *)
 let tenant_digest = function
   | Jobfile.Language lang ->
       Some (Session.digest ~kind:"language" ~source:lang, "language:" ^ lang)
@@ -386,6 +394,7 @@ let failure_outcome ?(metrics = Lg_support.Metrics.null) ~sessions
       o_error = Some msg;
       o_payload = Null;
       o_seconds = 0.;
+      o_incremental = None;
     }
   in
   match exn with

@@ -39,6 +39,11 @@ type outcome = {
   o_error : string option;
   o_payload : Lg_support.Json_out.t;  (** deterministic result document *)
   o_seconds : float;  (** job wall time (not part of the payload) *)
+  o_incremental : (string * Lg_incremental.Incr.mode) option;
+      (** a successful [update]'s session digest and evaluation mode,
+          for the serve [update] op's answer. Never emitted by
+          {!to_json}: which of a pool's same-doc updates finds cached
+          state depends on scheduling. *)
 }
 
 type summary = {
@@ -72,12 +77,6 @@ val check_payload : Linguist.Driver.artifact -> Lg_support.Json_out.t
 
 val default_workers : unit -> int
 (** [min 4 (recommended_domain_count - 1)], at least 1. *)
-
-val tenant_digest : Jobfile.tenant -> (string * string) option
-(** [(digest, label)] of the session a tenant is served from: a
-    built-in language by name, a grammar file by the digest of its
-    text ({!Session.translator_session}'s key). [None] when the grammar
-    file cannot be read. *)
 
 val culprit : Jobfile.job -> (string * string) option
 (** [(digest, label)] of the session a job would be served from — the

@@ -55,20 +55,27 @@
       [hits]/[misses]/[evictions] for that digest, and the quarantine
       [strikes]/[quarantined] columns. Rows are sorted by label.
     - [{"op":"drain"}] → [{"ok":true,"draining":true,...}]; from then on
-      [job]/[update] requests are refused with
+      [job]/[fabric_job]/[update] requests are refused with
       [{"ok":false,"error":"draining"}] while accepted work finishes.
       [ping]/[health]/[metrics]/[shutdown] still answer — [drain] then
       [shutdown] is the graceful stop.
     - [{"op":"update","language":L,"source":S,"doc":D}] — incremental
-      re-translation of the inline source text [S] under language [L]
-      (see [docs/INCREMENTAL.md]). [doc] (optional) names the editor
-      buffer: successive updates to the same doc diff against its cached
-      tree and re-fire only the edit's consequences — when the server
-      runs with incremental mode on; otherwise each update evaluates
-      from scratch (still correct). Response:
-      [{"ok":true,"session":digest,"doc":D,"outputs":{...},
+      re-translation of the inline source text [S] under language [L],
+      or, with ["grammar":PATH] instead of ["language"], under the
+      grammar file at [PATH] (exactly one of the two; see
+      [docs/INCREMENTAL.md]). [doc] (optional, default ["<L>"] or
+      ["<PATH>"]) names the editor buffer: successive updates to the
+      same doc diff against its cached tree and re-fire only the edit's
+      consequences — when the server runs with incremental mode on;
+      otherwise each update evaluates from scratch (still correct).
+      Response: [{"ok":true,"session":digest,"doc":D,"outputs":{...},
       "tree_size":N,"incremental":{"kind":"fresh"|"incremental"|
-      "fallback",...}}].
+      "fallback",...}}]; a failure answers
+      [{"ok":false,"error":E,"exit":N}]. An update is a [job] — an
+      inline-source {!Jobfile} [update] entry with id ["update:D"] on
+      the interactive lane — so it is admitted, quarantined,
+      chaos-gated, charged to its tenant and post-mortemed exactly like
+      one.
     - [{"op":"sessions"}] → the session cache's entries with their
       rebuild-cost weights, ages and parked document counts.
     - [{"op":"evict","digest":d}] (or ["language":L]) → drop one cached
