@@ -23,6 +23,13 @@ let section title =
 
 let rowf fmt = Printf.printf fmt
 
+(* every BENCH_*.json document: pretty-printed, newline-terminated *)
+let write_json path doc =
+  let oc = open_out path in
+  output_string oc (Lg_support.Json_out.to_string ~pretty:true doc);
+  output_char oc '\n';
+  close_out oc
+
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
@@ -530,10 +537,7 @@ let store_bench () =
                rows) );
       ]
   in
-  let oc = open_out "BENCH_apt.json" in
-  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH_apt.json" json;
   rowf "  wrote BENCH_apt.json (%d stores)\n" (List.length rows);
   register_bechamel "stores/paged evaluator run (1500-stmt program)" (fun () ->
       ignore
@@ -644,10 +648,7 @@ let faults_bench () =
                fault_rows) );
       ]
   in
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH_faults.json" json;
   rowf "  wrote BENCH_faults.json\n";
   register_bechamel "faults/framed disk evaluator run" (fun () ->
       ignore
@@ -772,7 +773,7 @@ let batch_bench () =
     Lg_support.Json_out.to_string
       (Lg_server.Batch.to_json ~timings:false s)
   in
-  let seq = Lg_server.Batch.run_sequential ~sessions jobs in
+  let seq = Lg_server.Batch.run ~workers:0 ~sessions jobs in
   let seq_rate = float_of_int n_jobs /. Float.max 1e-9 seq.Lg_server.Batch.wall_seconds in
   rowf "  %-14s %8s %10s %10s %10s\n" "configuration" "jobs" "ok" "jobs/s"
     "speedup";
@@ -835,10 +836,7 @@ let batch_bench () =
         ("byte_identical", Bool identical);
       ]
   in
-  let oc = open_out "BENCH_batch.json" in
-  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH_batch.json" json;
   rowf "  wrote BENCH_batch.json\n";
   List.iter Sys.remove files;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
@@ -993,10 +991,7 @@ let incremental_bench () =
             ] );
       ]
   in
-  let oc = open_out "BENCH_incremental.json" in
-  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH_incremental.json" json;
   rowf "  wrote BENCH_incremental.json (%d edits)\n" n_edits;
   register_bechamel "incremental/one small edit (300-production input)"
     (fun () ->
@@ -1081,7 +1076,7 @@ let corpus_bench () =
   let seq, seq_sessions, pooled =
     Fun.protect ~finally:(fun () -> Sys.chdir old_cwd) @@ fun () ->
     let seq_sessions = Lg_server.Session.create_cache () in
-    let seq = Lg_server.Batch.run_sequential ~sessions:seq_sessions jobs in
+    let seq = Lg_server.Batch.run ~workers:0 ~sessions:seq_sessions jobs in
     let pooled =
       List.map
         (fun workers ->
@@ -1231,10 +1226,7 @@ let corpus_bench () =
             ] );
       ]
   in
-  let oc = open_out "BENCH_corpus.json" in
-  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  write_json "BENCH_corpus.json" json;
   rowf "  wrote BENCH_corpus.json\n"
 
 (* ============ server-layer chaos: supervision under injected faults ============ *)
@@ -1312,7 +1304,7 @@ let chaos_bench () =
   in
   let jobs = jobs_over (List.map fst corpus) in
   let n_jobs = List.length jobs in
-  let base = payloads (Lg_server.Batch.run_sequential ~sessions:(fresh_sessions ()) jobs) in
+  let base = payloads (Lg_server.Batch.run ~workers:0 ~sessions:(fresh_sessions ()) jobs) in
   (* 1. a crash storm: every injected job costs its worker domain *)
   let crash_spec =
     { Lg_server.Chaos.c_seed = 11; c_rate = 0.15; c_kinds = [ Lg_server.Chaos.Crash ] }
@@ -1431,10 +1423,7 @@ let chaos_bench () =
           Obj [ ("post_crash_first_job_seconds", Num recovery_seconds) ] );
       ]
   in
-  let oc = open_out (Filename.concat old_cwd "BENCH_chaos.json") in
-  output_string oc (Lg_support.Json_out.to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  write_json (Filename.concat old_cwd "BENCH_chaos.json") json;
   rowf "  wrote BENCH_chaos.json\n"
 
 (* ---------- the fabric bench: distributed evaluation ---------- *)
@@ -1442,7 +1431,7 @@ let chaos_bench () =
 (* Two in-process serve instances on OS-picked TCP ports, a corpus
    jobfile through the coordinator, measured against the sequential
    baseline. The gated leaves are the scheduler's observable contract:
-   byte-identity with Batch.run_sequential, builds-once-per-grammar
+   byte-identity with Batch.run ~workers:0, builds-once-per-grammar
    (each worker's server.session_builds equals the distinct session
    digests the deterministic shard plan sends it) and the lane split
    (interactive update jobs vs bulk, counted at the workers' lane
@@ -1484,7 +1473,7 @@ let fabric_bench () =
   let seq, seq_wall =
     let t0 = Unix.gettimeofday () in
     let s =
-      Lg_server.Batch.run_sequential ~metrics:(Lg_support.Metrics.create ())
+      Lg_server.Batch.run ~workers:0 ~metrics:(Lg_support.Metrics.create ())
         jobs
     in
     (s, Unix.gettimeofday () -. t0)
@@ -1629,10 +1618,7 @@ let fabric_bench () =
         ("fabric_wall_seconds", Num fabric_wall);
       ]
   in
-  let oc = open_out (Filename.concat old_cwd "BENCH_fabric.json") in
-  output_string oc (to_string ~pretty:true json);
-  output_char oc '\n';
-  close_out oc;
+  write_json (Filename.concat old_cwd "BENCH_fabric.json") json;
   rowf "  wrote BENCH_fabric.json\n"
 
 (* ---------- driver ---------- *)

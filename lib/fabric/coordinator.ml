@@ -144,17 +144,8 @@ let error_of_response doc =
    worker_crashed's exit code, so downstream triage treats it like any
    other serving loss *)
 let worker_lost_outcome (p : prepared) =
-  {
-    Batch.o_id = p.p_job.Jobfile.j_id;
-    o_op = Jobfile.op_name p.p_job.Jobfile.j_op;
-    o_file = p.p_job.Jobfile.j_file;
-    o_ok = false;
-    o_exit = 51;
-    o_error = Some "worker lost: no surviving worker to re-dispatch to";
-    o_payload = Null;
-    o_seconds = 0.0;
-    o_incremental = None;
-  }
+  Batch.error_outcome p.p_job ~code:51
+    "worker lost: no surviving worker to re-dispatch to"
 
 (* ---------- per-worker dispatch state ---------- *)
 

@@ -3,7 +3,7 @@
     Owns a jobfile and a list of worker endpoints (serve processes,
     usually reached over their [--listen] TCP port) and distributes the
     jobs so the merged result document is {e byte-identical} to
-    {!Lg_server.Batch.run_sequential} over the same jobfile
+    {!Lg_server.Batch.run} [~workers:0] over the same jobfile
     ([Batch.to_json ~timings:false]) — the fabric adds machines, never
     changes answers.
 

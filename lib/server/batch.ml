@@ -372,31 +372,41 @@ let quarantine_gate ~sessions (j : Jobfile.job) =
 (* runs in the worker, before the job proper: a [Crash_job] roll kills
    the worker through the supervision path, [Wedge_job] holds it until
    the watchdog's deadline (or just runs late without one) *)
-let chaos_gate ?chaos (j : Jobfile.job) =
-  match chaos with
+let chaos_gate chaos (j : Jobfile.job) =
+  match Chaos.on_job chaos ~id:j.Jobfile.j_id ~file:j.Jobfile.j_file with
   | None -> ()
-  | Some c -> (
-      match Chaos.on_job c ~id:j.Jobfile.j_id ~file:j.Jobfile.j_file with
-      | None -> ()
-      | Some Chaos.Delay_job -> Unix.sleepf (Chaos.delay_seconds c)
-      | Some Chaos.Wedge_job -> Unix.sleepf (Chaos.wedge_seconds c)
-      | Some Chaos.Crash_job -> raise (Pool.Crash "chaos: injected worker crash"))
+  | Some Chaos.Delay_job -> Unix.sleepf (Chaos.delay_seconds chaos)
+  | Some Chaos.Wedge_job -> Unix.sleepf (Chaos.wedge_seconds chaos)
+  | Some Chaos.Crash_job -> raise (Pool.Crash "chaos: injected worker crash")
+
+let attempt ~tracer ~sessions ?incremental ?chaos ~started j =
+  let prev = Lg_support.Trace.ambient () in
+  Lg_support.Trace.install tracer;
+  Fun.protect ~finally:(fun () -> Lg_support.Trace.install prev) @@ fun () ->
+  quarantine_gate ~sessions j;
+  Option.iter
+    (fun c ->
+      Lg_support.Trace.span tracer ~cat:"chaos" "chaos.gate" (fun () ->
+          chaos_gate c j))
+    chaos;
+  started ();
+  run_job ~sessions ?incremental j
+
+let error_outcome (j : Jobfile.job) ~code msg =
+  {
+    o_id = j.Jobfile.j_id;
+    o_op = Jobfile.op_name j.Jobfile.j_op;
+    o_file = j.Jobfile.j_file;
+    o_ok = false;
+    o_exit = code;
+    o_error = Some msg;
+    o_payload = Null;
+    o_seconds = 0.;
+    o_incremental = None;
+  }
 
 let failure_outcome ?(metrics = Lg_support.Metrics.null) ~sessions
     (j : Jobfile.job) exn =
-  let failed ~code msg =
-    {
-      o_id = j.Jobfile.j_id;
-      o_op = Jobfile.op_name j.Jobfile.j_op;
-      o_file = j.Jobfile.j_file;
-      o_ok = false;
-      o_exit = code;
-      o_error = Some msg;
-      o_payload = Null;
-      o_seconds = 0.;
-      o_incremental = None;
-    }
-  in
   match exn with
   | Server_error.Error e ->
       (match e with
@@ -408,35 +418,9 @@ let failure_outcome ?(metrics = Lg_support.Metrics.null) ~sessions
                 Lg_support.Metrics.incr metrics "server.quarantined"
           | None -> ())
       | Server_error.Session_quarantined _ -> ());
-      failed ~code:(Server_error.exit_code e) (Server_error.to_string e)
-  | e -> failed ~code:1 (Printexc.to_string e)
-
-(* run one job inside its own trace story, then splice that story into
-   the run-wide trace; [absorb] is a no-op when the parent is disabled *)
-let traced_job ~parent ~sessions ?incremental j =
-  let jt =
-    if Lg_support.Trace.enabled parent then Lg_support.Trace.create ()
-    else Lg_support.Trace.null
-  in
-  let installed = Lg_support.Trace.ambient () in
-  Lg_support.Trace.install jt;
-  Fun.protect
-    ~finally:(fun () ->
-      Lg_support.Trace.install installed;
-      Lg_support.Trace.absorb parent jt)
-    (fun () ->
-      Lg_support.Trace.span jt ~cat:"job" j.Jobfile.j_id (fun () ->
-          run_job ~sessions ?incremental j))
-
-let summarize ~workers ~wall outcomes =
-  let n_ok = List.length (List.filter (fun o -> o.o_ok) outcomes) in
-  {
-    outcomes;
-    n_ok;
-    n_failed = List.length outcomes - n_ok;
-    workers;
-    wall_seconds = wall;
-  }
+      error_outcome j ~code:(Server_error.exit_code e)
+        (Server_error.to_string e)
+  | e -> error_outcome j ~code:1 (Printexc.to_string e)
 
 let run ?workers ?sessions ?metrics ?tracer ?incremental ?chaos ?deadline jobs =
   let workers = match workers with Some w -> w | None -> default_workers () in
@@ -455,80 +439,56 @@ let run ?workers ?sessions ?metrics ?tracer ?incremental ?chaos ?deadline jobs =
   let job_deadline (j : Jobfile.job) =
     match j.Jobfile.j_deadline with Some _ as d -> d | None -> deadline
   in
-  let t0 = Unix.gettimeofday () in
-  let outcomes =
-    if workers <= 0 then
-      (* No pool, but the same server.* series the pool would publish —
-         a sequential run is comparable to a pooled one on the metrics
-         axis, not only on the payload axis. Queue wait is identically
-         zero: the calling domain "dequeues" each job the instant it is
-         "submitted". *)
-      List.map
-        (fun j ->
-          Lg_support.Metrics.incr metrics "server.jobs";
-          Lg_support.Metrics.observe metrics
-            ~buckets:Lg_support.Metrics.latency_buckets
-            "server.queue_wait_seconds" 0.0;
-          let started = Unix.gettimeofday () in
-          let outcome =
-            match
-              quarantine_gate ~sessions j;
-              chaos_gate ?chaos j;
-              traced_job ~parent ~sessions ?incremental j
-            with
-            | o -> o
-            | exception Pool.Crash msg ->
-                Lg_support.Metrics.incr metrics "server.worker_crashes";
-                failure_outcome ~metrics ~sessions j
-                  (Server_error.Error
-                     (Server_error.Worker_crashed
-                        { job = j.Jobfile.j_id; detail = msg }))
-            | exception Server_error.Error e ->
-                failure_outcome ~metrics ~sessions j (Server_error.Error e)
-          in
-          let elapsed = Unix.gettimeofday () -. started in
-          Lg_support.Metrics.observe metrics
-            ~buckets:Lg_support.Metrics.latency_buckets
-            "server.service_seconds" elapsed;
-          Lg_support.Metrics.observe metrics "server.job_seconds" elapsed;
-          outcome)
-        jobs
-    else begin
-      let pool =
-        Pool.create ~metrics ~workers
-          ~queue_capacity:(max 1 (List.length jobs))
-          ()
-      in
-      Fun.protect ~finally:(fun () -> Pool.drain pool) @@ fun () ->
-      let handles =
-        List.map
-          (fun j ->
-            match
-              Pool.submit ~label:j.Jobfile.j_id ~lane:Pool.Bulk
-                ?deadline:(job_deadline j) pool
-                (fun () ->
-                  quarantine_gate ~sessions j;
-                  chaos_gate ?chaos j;
-                  traced_job ~parent ~sessions ?incremental j)
-            with
-            | Ok h -> h
-            | Error _ ->
-                (* capacity = job count: unreachable, but keep it total *)
-                assert false)
-          jobs
-      in
-      List.map2
-        (fun j h ->
-          match Pool.await h with
-          | Ok outcome -> outcome
-          | Error e -> failure_outcome ~metrics ~sessions j e)
-        jobs handles
-    end
+  (* each job runs inside its own trace story, spliced into the run-wide
+     trace when done; [absorb] is a no-op when the parent is disabled *)
+  let job j () =
+    let jt =
+      if Lg_support.Trace.enabled parent then Lg_support.Trace.create ()
+      else Lg_support.Trace.null
+    in
+    Fun.protect ~finally:(fun () -> Lg_support.Trace.absorb parent jt)
+    @@ fun () ->
+    Lg_support.Trace.span jt ~cat:"job" j.Jobfile.j_id (fun () ->
+        attempt ~tracer:jt ~sessions ?incremental ?chaos ~started:ignore j)
   in
-  summarize ~workers:(max workers 0) ~wall:(Unix.gettimeofday () -. t0) outcomes
-
-let run_sequential ?sessions ?metrics ?tracer ?incremental jobs =
-  run ~workers:0 ?sessions ?metrics ?tracer ?incremental jobs
+  let t0 = Unix.gettimeofday () in
+  let pool =
+    Pool.create ~metrics ~workers ~queue_capacity:(max 1 (List.length jobs)) ()
+  in
+  let outcomes =
+    Fun.protect ~finally:(fun () -> Pool.drain pool) @@ fun () ->
+    List.map
+      (fun j ->
+        match
+          Pool.submit ~label:j.Jobfile.j_id ~lane:Pool.Bulk
+            ?deadline:(job_deadline j) pool (job j)
+        with
+        | Error _ ->
+            (* capacity = job count: unreachable, but keep it total *)
+            assert false
+        | Ok h ->
+            let outcome =
+              lazy
+                (match Pool.await h with
+                | Ok outcome -> outcome
+                | Error e -> failure_outcome ~metrics ~sessions j e)
+            in
+            (* an inline pool has run the job already: settle it now, so
+               a crash strikes its tenant before the next job's
+               quarantine gate *)
+            if Pool.is_done h then ignore (Lazy.force outcome);
+            outcome)
+      jobs
+    |> List.map Lazy.force
+  in
+  let n_ok = List.length (List.filter (fun o -> o.o_ok) outcomes) in
+  {
+    outcomes;
+    n_ok;
+    n_failed = List.length outcomes - n_ok;
+    workers = max workers 0;
+    wall_seconds = Unix.gettimeofday () -. t0;
+  }
 
 let outcome_to_json ~timings o =
   Obj

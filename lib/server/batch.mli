@@ -50,7 +50,7 @@ type summary = {
   outcomes : outcome list;  (** in jobfile order *)
   n_ok : int;
   n_failed : int;
-  workers : int;  (** 0 = sequential in the calling domain *)
+  workers : int;  (** 0 = sequential: the inline pool, in the calling domain *)
   wall_seconds : float;
 }
 
@@ -86,16 +86,26 @@ val culprit : Jobfile.job -> (string * string) option
     job's input text (inline source first, else the file). [None] when
     a grammar file cannot be read. *)
 
-val quarantine_gate : sessions:Session.cache -> Jobfile.job -> unit
-(** Admission control: raises the typed
-    {!Server_error.Session_quarantined} when the job's tenant session is
-    quarantined — call it first in the thunk, ahead of {!chaos_gate},
-    so a refusal never burns a worker. *)
+val attempt :
+  tracer:Lg_support.Trace.t ->
+  sessions:Session.cache ->
+  ?incremental:incremental ->
+  ?chaos:Chaos.t ->
+  started:(unit -> unit) ->
+  Jobfile.job ->
+  outcome
+(** The job thunk every executor runs — {!run}'s per-job body and the
+    serve front-end's job ops alike. With [tracer] installed as the
+    ambient tracer it runs, in order: the quarantine gate (raises the
+    typed {!Server_error.Session_quarantined} when the job's tenant
+    session is quarantined, so a refusal never burns a worker),
+    [chaos]'s injection decision ({!Chaos.on_job}) under a [chaos.gate]
+    span ([Delay_job]/[Wedge_job] sleep, [Crash_job] raises
+    {!Pool.Crash}), then [started ()], then {!run_job}. *)
 
-val chaos_gate : ?chaos:Chaos.t -> Jobfile.job -> unit
-(** Run [chaos]'s injection decision for the job — call it {e inside}
-    the pool thunk, before the job proper. [Delay_job]/[Wedge_job]
-    sleep; [Crash_job] raises {!Pool.Crash}. No-op without [chaos]. *)
+val error_outcome : Jobfile.job -> code:int -> string -> outcome
+(** A failed outcome for the job with exit [code] and message: no
+    payload, zero seconds. *)
 
 val failure_outcome :
   ?metrics:Lg_support.Metrics.t ->
@@ -122,29 +132,22 @@ val run :
   Jobfile.job list ->
   summary
 (** Run the list on a fresh pool of [workers] domains (default
-    {!default_workers}; [0] runs sequentially with no pool). [metrics]
-    and [tracer] default to the calling domain's ambient registry and
+    {!default_workers}), each job through {!attempt}. [0] is the
+    sequential baseline: the {!Pool}'s inline mode runs every job on
+    the calling domain, one after another, and publishes the same
+    [server.*] series a pooled run does (queue wait identically 0), so
+    the two are comparable on the metrics axis too. [metrics] and
+    [tracer] default to the calling domain's ambient registry and
     tracer. The pool is drained before returning; outcomes keep jobfile
     order.
 
     [deadline] (seconds) is the default wall-clock budget for jobs that
     don't set their own [j_deadline]; enforced by the pool watchdog, so
-    sequential runs ([workers = 0]) don't enforce it. [chaos] injects
-    deterministic job-level faults ({!Chaos.on_job}) ahead of each
-    job. *)
-
-val run_sequential :
-  ?sessions:Session.cache ->
-  ?metrics:Lg_support.Metrics.t ->
-  ?tracer:Lg_support.Trace.t ->
-  ?incremental:incremental ->
-  Jobfile.job list ->
-  summary
-(** [run ~workers:0] — the baseline the benchmark harness compares pooled
-    throughput against. Publishes the same [server.*] series a pooled
-    run would (jobs, queue-wait/service/job histograms — queue wait
-    identically 0), so the two are comparable on the metrics axis
-    too. *)
+    sequential runs ([workers = 0], the inline pool) don't enforce it.
+    [chaos] injects deterministic job-level faults ({!Chaos.on_job})
+    ahead of each job. A sequential run settles each job before the
+    next starts, so a crash's {!Session.strike} lands before the next
+    job's quarantine gate. *)
 
 val to_json : ?timings:bool -> summary -> Lg_support.Json_out.t
 (** The results document. With [timings:false] (the default) the

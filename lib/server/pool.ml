@@ -13,7 +13,11 @@
    deadline by bumping the slot epoch and spawning a replacement — the
    abandoned domain notices the epoch change when its job finally
    returns and exits quietly. Replaced domains are parked on a zombie
-   list and joined by [drain]. *)
+   list and joined by [drain].
+
+   A pool of zero workers is inline: no domains, no watchdog, and each
+   submit runs its job on the submitting domain through the same
+   harness a worker would, dequeued the instant it is submitted. *)
 
 type reject = { rj_depth : int; rj_capacity : int }
 
@@ -56,7 +60,9 @@ type slot = {
 
 type packaged = {
   p_inflight : inflight;
-  p_run : unit -> unit;  (* fills the cell; raises only to kill the worker *)
+  p_run : float -> unit;
+      (* given the dequeue instant, fills the cell; raises only to kill
+         the worker *)
 }
 
 type t = {
@@ -172,7 +178,9 @@ and worker_loop t slot epoch =
       else begin
         slot.s_inflight <- Some p.p_inflight;
         Mutex.unlock t.lock;
-        let death = (try p.p_run (); None with e -> Some e) in
+        let death =
+          try p.p_run (Unix.gettimeofday ()); None with e -> Some e
+        in
         Mutex.lock t.lock;
         let abandoned = slot.s_epoch <> epoch in
         if not abandoned then slot.s_inflight <- None;
@@ -216,7 +224,7 @@ let watchdog_loop t () =
 
 let create ?(metrics = Lg_support.Metrics.null) ?(watchdog_interval = 0.01)
     ?(slo_window = 60.0) ~workers ~queue_capacity () =
-  let workers = max 1 workers and capacity = max 1 queue_capacity in
+  let workers = max 0 workers and capacity = max 1 queue_capacity in
   let t =
     {
       lock = Mutex.create ();
@@ -242,7 +250,7 @@ let create ?(metrics = Lg_support.Metrics.null) ?(watchdog_interval = 0.01)
   Array.iter
     (fun slot -> slot.s_domain <- Some (Domain.spawn (fun () -> worker t slot 0)))
     t.slots;
-  t.watchdog <- Some (Thread.create (watchdog_loop t) ());
+  if workers > 0 then t.watchdog <- Some (Thread.create (watchdog_loop t) ());
   t
 
 let workers t = t.n_workers
@@ -261,12 +269,11 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
       if_fail = (fun e -> fill cell (Error e));
     }
   in
-  let run () =
+  let run started_at =
     (* the SLO split: queue wait ends when a worker picks the job up,
        service is everything from there to completion — both on the
        latency ladder, where job_seconds (their sum) keeps its coarse
        historical buckets *)
-    let started_at = Unix.gettimeofday () in
     let wait = started_at -. submitted_at in
     Lg_support.Metrics.observe t.metrics
       ~buckets:Lg_support.Metrics.latency_buckets "server.queue_wait_seconds"
@@ -315,21 +322,32 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
         ignore (fill cell (Error e));
         raise (Crash "worker lost")
   in
-  locked t @@ fun () ->
-  if t.closing then invalid_arg "Pool.submit: pool is draining";
-  let depth = total_depth t in
-  if depth >= t.capacity then begin
-    Lg_support.Metrics.incr t.metrics "server.rejections";
-    Error { rj_depth = depth; rj_capacity = t.capacity }
-  end
-  else begin
-    let q = match lane with Interactive -> t.q_interactive | Bulk -> t.q_bulk in
-    Queue.push { p_inflight = inflight; p_run = run } q;
-    Lg_support.Metrics.incr t.metrics "server.jobs";
-    publish_depth t;
-    Condition.signal t.nonempty;
-    Ok cell
-  end
+  let accepted =
+    locked t @@ fun () ->
+    if t.closing then invalid_arg "Pool.submit: pool is draining";
+    let depth = total_depth t in
+    if depth >= t.capacity then begin
+      Lg_support.Metrics.incr t.metrics "server.rejections";
+      Error { rj_depth = depth; rj_capacity = t.capacity }
+    end
+    else begin
+      if t.n_workers > 0 then
+        Queue.push { p_inflight = inflight; p_run = run }
+          (match lane with Interactive -> t.q_interactive | Bulk -> t.q_bulk);
+      Lg_support.Metrics.incr t.metrics "server.jobs";
+      publish_depth t;
+      Condition.signal t.nonempty;
+      Ok cell
+    end
+  in
+  (* inline: the submitter dequeues its own job at the submit instant
+     (queue wait exactly 0), and a crash has no domain to recycle *)
+  if t.n_workers = 0 && Result.is_ok accepted then
+    (try run submitted_at with Crash _ -> ());
+  accepted
+
+let is_done cell =
+  Mutex.protect cell.h_lock (fun () -> Option.is_some cell.h_result)
 
 let await cell =
   Mutex.lock cell.h_lock;

@@ -27,6 +27,16 @@
     A job that expires while still queued is failed on dequeue without
     running. Abandoned and replaced domains are joined by {!drain}.
 
+    {b Inline mode}: a pool of [workers = 0] spawns no domain and no
+    watchdog. {!submit} runs the job on the calling domain, through the
+    same harness a worker runs it in, so it publishes the same
+    [server.*] series (queue wait exactly 0: the job is dequeued the
+    instant it is submitted) and classifies a {!Crash} or
+    [Out_of_memory] the same way — the job fails [Worker_crashed] and
+    counts [server.worker_crashes], but there is no domain to recycle.
+    Deadlines are not enforced inline. This is the sequential batch
+    baseline ({!Batch.run} [~workers:0]).
+
     Each worker domain installs the pool's metrics registry as its
     domain-local ambient ({!Lg_support.Metrics.install}), so code deep
     under a job (the APT store stack, the evaluator) publishes into the
@@ -82,7 +92,8 @@ val create :
   queue_capacity:int ->
   unit ->
   t
-(** Spawn [workers] domains (at least 1) and the watchdog thread.
+(** Spawn [workers] domains and the watchdog thread; [workers <= 0]
+    makes an inline pool (no domain, no watchdog — see above).
     [queue_capacity] bounds the number of {e not yet started} jobs (at
     least 1); [watchdog_interval] (default 0.01 s, floor 1 ms) is the
     deadline-scan period and therefore the enforcement granularity;
@@ -111,6 +122,8 @@ val submit :
     [label] names the job in typed diagnostics; [lane] (default
     [Interactive]) picks the priority lane; [deadline] (seconds,
     measured from this call — queue wait counts) arms the watchdog.
+    On an inline pool the job has finished, and its handle is filled,
+    by the time [submit] returns; [deadline] is ignored there.
     @raise Invalid_argument on a pool that {!drain} has shut down. *)
 
 val await : 'a handle -> ('a, exn) result
@@ -118,6 +131,9 @@ val await : 'a handle -> ('a, exn) result
     the job raised — or the typed {!Server_error.Error} the supervision
     layer failed it with — a faulted job poisons only its own handle,
     never the pool. *)
+
+val is_done : 'a handle -> bool
+(** The job has its result: {!await} will not block. *)
 
 val queue_depth : t -> int
 (** Jobs accepted but not yet started. *)
@@ -127,7 +143,7 @@ val queue_peak : t -> int
 
 val live_workers : t -> int
 (** Worker slots currently owned by a live domain — [workers] in steady
-    state, briefly fewer mid-replacement. *)
+    state, briefly fewer mid-replacement; always 0 inline. *)
 
 val parked_workers : t -> int
 (** Replaced domains (crashed workers' predecessors, watchdog-abandoned

@@ -341,46 +341,32 @@ let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
         Lg_support.Eventlog.record st.events ~trace
           ~fields:[ ("queue_wait_seconds", Num (dequeued -. submitted)) ]
           ~job:label "dequeued";
-        (* the request tracer becomes ambient for the job so session
-           hit/build and evaluator pass spans land on this request's
-           story *)
-        let prev = Lg_support.Trace.ambient () in
-        Lg_support.Trace.install rt;
-        Fun.protect
-          ~finally:(fun () -> Lg_support.Trace.install prev)
-          (fun () ->
-            Lg_support.Trace.begin_span rt ~cat:"serve" "service";
-            Fun.protect
-              ~finally:(fun () -> Lg_support.Trace.end_span rt ())
-              (fun () ->
-                Batch.quarantine_gate ~sessions:st.sessions job;
-                (match st.chaos with
-                | Some _ ->
-                    Lg_support.Trace.span rt ~cat:"chaos" "chaos.gate"
-                      (fun () -> Batch.chaos_gate ?chaos:st.chaos job)
-                | None -> ());
-                Lg_support.Eventlog.record st.events ~trace ~job:label
-                  "started";
-                let mark = Lg_support.Trace.span_count rt in
-                let outcome =
-                  Batch.run_job ~sessions:st.sessions
-                    ?incremental:st.incremental job
-                in
-                record_lifecycle_events st ~trace ~job:label ~mark rt;
-                let finished = Unix.gettimeofday () in
-                Lg_support.Eventlog.record st.events ~trace
-                  ~fields:
-                    [
-                      ("exit", int outcome.Batch.o_exit);
-                      ("seconds", Num (finished -. dequeued));
-                    ]
-                  ~job:label
-                  (if outcome.Batch.o_ok then "finished" else "failed");
-                charge ~ok:outcome.Batch.o_ok
-                  ~exit_code:outcome.Batch.o_exit
-                  ~queue_wait:(dequeued -. submitted)
-                  ~service:(finished -. dequeued);
-                outcome)))
+        (* the request tracer is the job's tracer, so session hit/build
+           and evaluator pass spans land on this request's story *)
+        Lg_support.Trace.span rt ~cat:"serve" "service" @@ fun () ->
+        let mark = Lg_support.Trace.span_count rt in
+        let outcome =
+          Batch.attempt ~tracer:rt ~sessions:st.sessions
+            ?incremental:st.incremental ?chaos:st.chaos
+            ~started:(fun () ->
+              Lg_support.Eventlog.record st.events ~trace ~job:label
+                "started")
+            job
+        in
+        record_lifecycle_events st ~trace ~job:label ~mark rt;
+        let finished = Unix.gettimeofday () in
+        Lg_support.Eventlog.record st.events ~trace
+          ~fields:
+            [
+              ("exit", int outcome.Batch.o_exit);
+              ("seconds", Num (finished -. dequeued));
+            ]
+          ~job:label
+          (if outcome.Batch.o_ok then "finished" else "failed");
+        charge ~ok:outcome.Batch.o_ok ~exit_code:outcome.Batch.o_exit
+          ~queue_wait:(dequeued -. submitted)
+          ~service:(finished -. dequeued);
+        outcome)
   with
   | Error { Pool.rj_depth; rj_capacity } ->
       Lg_support.Trace.end_span rt ();
@@ -763,8 +749,11 @@ let serve ?queue_capacity ?session_capacity ?session_ttl ?quarantine_after
   (match postmortem_dir with
   | Some dir -> ( try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
   | None -> ());
+  (* a serve always keeps a worker domain: an inline pool would run
+     jobs on the connection threads *)
+  let workers = max 1 workers in
   let queue_capacity =
-    match queue_capacity with Some c -> c | None -> 4 * max 1 workers
+    match queue_capacity with Some c -> c | None -> 4 * workers
   in
   let tenants = Ledger.create () in
   (* reload persisted accounting before the listeners open, so a restart

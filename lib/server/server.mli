@@ -136,7 +136,9 @@ val serve :
   unit
 (** Bind [socket] (an existing stale socket file is replaced), serve
     until a [shutdown] request, then drain and clean up the socket file.
-    [queue_capacity] (default [4 * workers]) bounds queued jobs;
+    The pool keeps [workers] domains, at least one (a serve never runs
+    the {!Pool}'s inline mode). [queue_capacity] (default
+    [4 * workers]) bounds queued jobs;
     [metrics] defaults to a fresh registry; [session_ttl] expires idle
     cached sessions; [quarantine_after] (default 3) is the
     worker-fatal strike threshold ({!Session}). [incremental] turns

@@ -237,7 +237,7 @@ let test_corpus_batch_runs () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let corpus = Emit.write ~dir small_spec in
   in_dir dir @@ fun () ->
-  let summary = Lg_server.Batch.run_sequential corpus.Emit.c_jobs in
+  let summary = Lg_server.Batch.run ~workers:0 corpus.Emit.c_jobs in
   Alcotest.(check int) "no failed jobs" 0 summary.Lg_server.Batch.n_failed;
   Alcotest.(check int) "all jobs ran"
     (List.length corpus.Emit.c_jobs)

@@ -369,7 +369,7 @@ let test_coordinator_byte_identity () =
     Lg_support.Json_out.to_string (Batch.to_json ~timings:false s)
   in
   let seq =
-    Batch.run_sequential ~metrics:(Lg_support.Metrics.create ()) jobs
+    Batch.run ~workers:0 ~metrics:(Lg_support.Metrics.create ()) jobs
   in
   Alcotest.(check string)
     "coordinator results byte-identical to sequential" (doc seq)

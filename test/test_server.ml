@@ -407,7 +407,7 @@ let test_batch_fault_isolation () =
   Alcotest.(check int) "summary counts the failure" 1 pooled.Batch.n_failed;
   Alcotest.(check int) "siblings succeeded" 2 pooled.Batch.n_ok;
   (* byte-determinism: the pooled document equals the sequential one *)
-  let sequential = Batch.run_sequential jobs in
+  let sequential = Batch.run ~workers:0 jobs in
   Alcotest.(check string) "pooled run is byte-identical to sequential"
     (Lg_support.Json_out.to_string (Batch.to_json sequential))
     (Lg_support.Json_out.to_string (Batch.to_json pooled))
@@ -443,7 +443,7 @@ let test_batch_corpus_differential () =
   let old = Sys.getcwd () in
   Sys.chdir dir;
   Fun.protect ~finally:(fun () -> Sys.chdir old) @@ fun () ->
-  let sequential = Batch.run_sequential corpus.Lg_corpus.Emit.c_jobs in
+  let sequential = Batch.run ~workers:0 corpus.Lg_corpus.Emit.c_jobs in
   Alcotest.(check int) "corpus workload is all-ok" 0
     sequential.Batch.n_failed;
   let doc s = Lg_support.Json_out.to_string (Batch.to_json s) in
@@ -457,7 +457,7 @@ let test_batch_corpus_differential () =
 
 let test_batch_missing_file () =
   let jobs = [ Jobfile.make ~op:Jobfile.Check ~file:"/nonexistent.ag" () ] in
-  let s = Batch.run_sequential jobs in
+  let s = Batch.run ~workers:0 jobs in
   match s.Batch.outcomes with
   | [ o ] ->
       if o.Batch.o_ok then Alcotest.fail "missing input must fail its job";
@@ -808,7 +808,7 @@ let test_batch_chaos_differential () =
           ~id:(Printf.sprintf "job-%02d" i)
           ~op:Jobfile.Analyze ~file:grammar ())
   in
-  let baseline = Batch.run_sequential jobs in
+  let baseline = Batch.run ~workers:0 jobs in
   Alcotest.(check int) "baseline all ok" 0 baseline.Batch.n_failed;
   let payloads s =
     List.map
@@ -1090,7 +1090,7 @@ let test_serve_chaos_endurance () =
   Sys.chdir dir;
   Fun.protect ~finally:(fun () -> Sys.chdir old) @@ fun () ->
   (* fault-free reference for the byte-identity contract *)
-  let baseline = Batch.run_sequential (corpus_jobs @ poison_jobs) in
+  let baseline = Batch.run ~workers:0 (corpus_jobs @ poison_jobs) in
   Alcotest.(check int) "fault-free baseline is all-ok" 0
     baseline.Batch.n_failed;
   let base_payloads =
@@ -1238,7 +1238,7 @@ let test_run_sequential_metrics () =
         Jobfile.make ~id:(Printf.sprintf "s-%d" i) ~op:Jobfile.Analyze
           ~file:grammar ())
   in
-  let s = Batch.run_sequential ~metrics jobs in
+  let s = Batch.run ~workers:0 ~metrics jobs in
   Alcotest.(check int) "all ok" 0 s.Batch.n_failed;
   (match Lg_support.Metrics.find metrics "server.jobs" with
   | Some (Lg_support.Metrics.Counter 3) -> ()
@@ -1260,6 +1260,94 @@ let test_run_sequential_metrics () =
         "sequential queue wait is identically zero" 0.0
         h.Lg_support.Metrics.h_sum
   | _ -> Alcotest.fail "unreachable"
+
+(* Sequential is the pool's inline mode, so both batch modes publish
+   one set of server.* series: per-lane waits, windowed SLO histograms
+   and queue-depth gauges included. *)
+let test_sequential_pooled_same_series () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let jobs =
+    List.init 3 (fun i ->
+        Jobfile.make ~id:(Printf.sprintf "m-%d" i) ~op:Jobfile.Analyze
+          ~file:grammar ())
+  in
+  let server_names workers =
+    let metrics = Lg_support.Metrics.create () in
+    let s = Batch.run ~workers ~metrics jobs in
+    Alcotest.(check int) "all ok" 0 s.Batch.n_failed;
+    Lg_support.Metrics.dump metrics
+    |> List.filter_map (fun (name, _) ->
+           if String.starts_with ~prefix:"server." name then Some name
+           else None)
+    |> List.sort_uniq compare
+  in
+  let pooled = server_names 2 in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " published") true (List.mem name pooled))
+    [ "server.queue_wait_bulk_seconds"; "server.queue_depth" ];
+  Alcotest.(check (list string)) "same server.* names" pooled
+    (server_names 0)
+
+(* The inline pool: no domain, the job done inside submit, a crash
+   classified by the worker harness without a worker to recycle. *)
+let test_inline_pool () =
+  let metrics = Lg_support.Metrics.create () in
+  let pool = Pool.create ~metrics ~workers:0 ~queue_capacity:1 () in
+  Alcotest.(check int) "no worker domains" 0 (Pool.live_workers pool);
+  (match Pool.submit pool (fun () -> 6 * 7) with
+  | Ok h -> (
+      Alcotest.(check bool) "result before submit returns" true
+        (Pool.is_done h);
+      match Pool.await h with
+      | Ok v -> Alcotest.(check int) "inline result" 42 v
+      | Error e -> Alcotest.failf "raised %s" (Printexc.to_string e))
+  | Error _ -> Alcotest.fail "rejected");
+  (match
+     Pool.submit ~label:"victim" pool (fun () -> raise (Pool.Crash "inline"))
+   with
+  | Ok h -> (
+      match Pool.await h with
+      | Error
+          (Server_error.Error (Server_error.Worker_crashed { job; detail })) ->
+          Alcotest.(check string) "label carried" "victim" job;
+          Alcotest.(check string) "detail carried" "inline" detail
+      | Error e -> Alcotest.failf "wrong error: %s" (Printexc.to_string e)
+      | Ok () -> Alcotest.fail "crashed job reported success")
+  | Error _ -> Alcotest.fail "rejected");
+  Alcotest.(check int) "one crash counted" 1
+    (counter metrics "server.worker_crashes");
+  Alcotest.(check int) "nothing to restart" 0 (Pool.restart_count pool);
+  Alcotest.(check int) "still no worker domains" 0 (Pool.live_workers pool);
+  Pool.drain pool;
+  Pool.drain pool (* idempotent *);
+  match Pool.submit pool (fun () -> 0) with
+  | exception Invalid_argument _ -> ()
+  | Ok _ | Error _ -> Alcotest.fail "submit after drain must raise"
+
+(* [serve ~workers:0] still gets a worker domain: the inline pool is a
+   batch mode only. *)
+let test_serve_keeps_a_worker () =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "srv.sock" in
+  let server =
+    Thread.create (fun () -> Server.serve ~workers:0 ~socket ()) ()
+  in
+  wait_for_socket socket;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore
+        (Server.request ~socket
+           (Lg_support.Json_out.parse {|{"op":"shutdown"}|}));
+      Thread.join server)
+  @@ fun () ->
+  let health =
+    Server.request ~socket (Lg_support.Json_out.parse {|{"op":"health"}|})
+  in
+  Alcotest.(check bool) "healthy" true (response_ok health);
+  Alcotest.(check int) "one live worker" 1
+    (Lg_support.Json_out.to_int (response_field health "workers_live"))
 
 (* The observability acceptance scenario: healthy jobs with client-minted
    trace ids, then a poisoned tenant crashed into quarantine — the
@@ -1749,6 +1837,8 @@ let () =
             test_pool_deadline;
           Alcotest.test_case "expired-in-queue jobs never run" `Quick
             test_pool_deadline_in_queue;
+          Alcotest.test_case "inline pool runs jobs in submit" `Quick
+            test_inline_pool;
         ] );
       ( "quarantine",
         [
@@ -1776,6 +1866,8 @@ let () =
             `Quick test_serve_shutdown_under_load;
           Alcotest.test_case "retrying client rides out drops" `Quick
             test_serve_retry_client;
+          Alcotest.test_case "serve keeps a worker domain" `Quick
+            test_serve_keeps_a_worker;
           Alcotest.test_case "chaotic 200-job corpus run survives" `Slow
             test_serve_chaos_endurance;
         ] );
@@ -1783,6 +1875,8 @@ let () =
         [
           Alcotest.test_case "sequential runs publish server.* metrics"
             `Quick test_run_sequential_metrics;
+          Alcotest.test_case "sequential and pooled publish one series set"
+            `Quick test_sequential_pooled_same_series;
           Alcotest.test_case
             "traces, postmortems, tenants and SLO percentiles" `Quick
             test_serve_observability;
