@@ -222,21 +222,34 @@ let e4 () =
   let source = Workloads.synthetic_ag 300 in
   let diag = Lg_support.Diag.create () in
   let tree = Option.get (Translator.tree_of_source t ~file:"<big>" ~diag source) in
+  (* a private tracer, so each row reads its own "pass k" span; it is
+     spliced into the ambient trace afterwards *)
+  let run_tr = Lg_support.Trace.create () in
   let (result : Engine.result), cpu =
-    wall_time (fun () -> Engine.run (Translator.plan t) tree)
+    wall_time (fun () ->
+        Engine.run
+          ~options:{ Engine.default_options with tracer = run_tr }
+          (Translator.plan t) tree)
+  in
+  Lg_support.Trace.absorb tr run_tr;
+  let pass_seconds k =
+    List.find_map
+      (fun (sp : Lg_support.Trace.span) ->
+        if sp.Lg_support.Trace.sp_name = Printf.sprintf "pass %d" k then
+          Some sp.Lg_support.Trace.sp_dur
+        else None)
+      (Lg_support.Trace.spans run_tr)
+    |> Option.value ~default:0.0
   in
   rowf "\n  generated evaluator over a %d-line AG input (%d APT nodes):\n"
     (Lg_scanner.Engine.line_count source)
     (Lg_apt.Tree.size tree);
   rowf "  %-8s %12s %12s %16s\n" "pass" "bytes moved" "cpu (ms)" "modeled io (s)";
-  let cpu_per_pass =
-    cpu /. float_of_int (List.length result.Engine.stats.Engine.per_pass)
-  in
   List.iter
     (fun (ps : Engine.pass_stats) ->
       rowf "  %-8d %12d %12.2f %16.2f\n" ps.Engine.ps_pass
         (Lg_apt.Io_stats.total_bytes ps.Engine.ps_io)
-        (1000.0 *. cpu_per_pass)
+        (1000.0 *. pass_seconds ps.Engine.ps_pass)
         (Lg_apt.Io_stats.modeled_seconds ps.Engine.ps_io
            ~bytes_per_second:floppy_bytes_per_second))
     result.Engine.stats.Engine.per_pass;
@@ -1023,14 +1036,7 @@ let corpus_bench () =
   let dir = Filename.temp_file "linguist-bench-corpus" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Lg_server.Batch.rm_rf dir) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let corpus = Lg_corpus.Emit.write ~dir spec in
   let write_seconds = Unix.gettimeofday () -. t0 in
@@ -1441,18 +1447,11 @@ let fabric_bench () =
   let dir = Filename.temp_file "linguist-bench-fabric" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
   let old_cwd = Sys.getcwd () in
   Fun.protect
     ~finally:(fun () ->
       Sys.chdir old_cwd;
-      try rm_rf dir with Sys_error _ | Unix.Unix_error _ -> ())
+      Lg_server.Batch.rm_rf dir)
   @@ fun () ->
   let spec =
     {

@@ -177,7 +177,6 @@ let count_lines source =
   !lines
 
 let run_job ~sessions ?incremental (j : Jobfile.job) =
-  let t0 = Unix.gettimeofday () in
   let finish ?incremental ~ok ~code ~error payload =
     {
       o_id = j.Jobfile.j_id;
@@ -187,7 +186,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
       o_exit = code;
       o_error = error;
       o_payload = payload;
-      o_seconds = Unix.gettimeofday () -. t0;
+      o_seconds = 0.;
       o_incremental = incremental;
     }
   in
@@ -469,9 +468,14 @@ let run ?workers ?sessions ?metrics ?tracer ?incremental ?chaos ?deadline jobs =
         | Ok h ->
             let outcome =
               lazy
-                (match Pool.await h with
-                | Ok outcome -> outcome
-                | Error e -> failure_outcome ~metrics ~sessions j e)
+                (let o =
+                   match Pool.await h with
+                   | Ok outcome -> outcome
+                   | Error e -> failure_outcome ~metrics ~sessions j e
+                 in
+                 match Pool.timing h with
+                 | Some { Pool.service; _ } -> { o with o_seconds = service }
+                 | None -> o)
             in
             (* an inline pool has run the job already: settle it now, so
                a crash strikes its tenant before the next job's

@@ -38,7 +38,11 @@ type outcome = {
           ({!Server_error.exit_code}) *)
   o_error : string option;
   o_payload : Lg_support.Json_out.t;  (** deterministic result document *)
-  o_seconds : float;  (** job wall time (not part of the payload) *)
+  o_seconds : float;
+      (** the job's service time as the {!Pool} harness measured it
+          ({!Pool.timing}), set by {!run}; 0 outside {!run} and for a
+          job the pool failed without a timing (deadline, expired in
+          queue). Not part of the payload. *)
   o_incremental : (string * Lg_incremental.Incr.mode) option;
       (** a successful [update]'s session digest and evaluation mode,
           for the serve [update] op's answer. Never emitted by
@@ -68,8 +72,14 @@ val run_job :
   sessions:Session.cache -> ?incremental:incremental -> Jobfile.job -> outcome
 (** One job, synchronously, in the calling domain — the unit of work the
     pool executes. Never raises: every failure lands in the outcome.
+    Reads no clock: the outcome's [o_seconds] is 0 here, and {!run}
+    fills it from the pool's measurement.
     Without [incremental], [update] jobs still answer correctly but
     evaluate from scratch and keep no per-document state. *)
+
+val rm_rf : string -> unit
+(** Remove a file or a directory tree; missing entries and unlink
+    failures are ignored. *)
 
 val check_payload : Linguist.Driver.artifact -> Lg_support.Json_out.t
 (** A [check] job's result document: pass count, first pass direction,

@@ -2,8 +2,10 @@
    by exit class plus queue-wait/service time totals, one row per digest
    ever served. The session-cache columns and quarantine strikes live in
    the Session cache and are joined in at snapshot time by the server.
-   Supervision-failed jobs (a crashed worker cannot report its split)
-   count toward jobs and failures but not toward the time totals.
+   The time totals add up the pool's one measurement of each job
+   (Pool.timing), so they equal the server.* SLO histogram sums; a
+   crashed job is charged its measured times, while a job the watchdog
+   or the queue expiry failed has no measurement and is charged zero.
 
    The ledger is the one piece of serve state quota/billing wants to
    trust across a respawn, so it round-trips through a versioned JSON

@@ -28,7 +28,9 @@ val charge :
 (** Attribute one finished job to [digest]. A non-empty [label] updates
     the row's display label; an empty [digest] is a no-op (jobs with no
     tenant — [check] — are not accounted). Failed jobs bump the
-    [exit_code] bucket; supervision failures pass zero time totals. *)
+    [exit_code] bucket. [queue_wait]/[service] are the pool's timing
+    of the job ({!Pool.timing}), zero when it has none (deadline
+    failures). *)
 
 val snapshot :
   t -> (string * string * int * int * (int * int) list * float * float) list

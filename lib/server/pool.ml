@@ -27,19 +27,24 @@ let lane_name = function Interactive -> "interactive" | Bulk -> "bulk"
 
 exception Crash of string
 
+type timing = { queue_wait : float; service : float }
+
 type 'a handle = {
   h_lock : Mutex.t;
   h_done : Condition.t;
   mutable h_result : ('a, exn) result option;
+  mutable h_timing : timing option;
 }
 
 (* first fill wins: the watchdog and the worker may race to complete a
-   job, and exactly one side's result must stand *)
-let fill cell result =
+   job, and exactly one side's result — with its timing, if it measured
+   one — must stand *)
+let fill ?timing cell result =
   Mutex.lock cell.h_lock;
   let filled = cell.h_result = None in
   if filled then begin
     cell.h_result <- Some result;
+    cell.h_timing <- timing;
     Condition.broadcast cell.h_done
   end;
   Mutex.unlock cell.h_lock;
@@ -258,7 +263,12 @@ let capacity t = t.capacity
 
 let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
   let cell =
-    { h_lock = Mutex.create (); h_done = Condition.create (); h_result = None }
+    {
+      h_lock = Mutex.create ();
+      h_done = Condition.create ();
+      h_result = None;
+      h_timing = None;
+    }
   in
   let submitted_at = Unix.gettimeofday () in
   let inflight =
@@ -270,10 +280,11 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
     }
   in
   let run started_at =
-    (* the SLO split: queue wait ends when a worker picks the job up,
-       service is everything from there to completion — both on the
-       latency ladder, where job_seconds (their sum) keeps its coarse
-       historical buckets *)
+    (* the one measurement of a job. The SLO split: queue wait ends when
+       a worker picks the job up, service is everything from there to
+       completion — both on the latency ladder, where job_seconds (their
+       sum) keeps its coarse historical buckets — and the same two
+       numbers ride on the handle for the caller's events and ledger *)
     let wait = started_at -. submitted_at in
     Lg_support.Metrics.observe t.metrics
       ~buckets:Lg_support.Metrics.latency_buckets "server.queue_wait_seconds"
@@ -304,22 +315,24 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
       | exception e -> `Err e
     in
     let finished_at = Unix.gettimeofday () in
+    let service = finished_at -. started_at in
     Lg_support.Metrics.observe t.metrics
       ~buckets:Lg_support.Metrics.latency_buckets "server.service_seconds"
-      (finished_at -. started_at);
+      service;
     Lg_support.Metrics.observe_window t.metrics
       ~buckets:Lg_support.Metrics.latency_buckets ~window:t.slo_window
-      "server.service_recent_seconds" (finished_at -. started_at);
+      "server.service_recent_seconds" service;
     Lg_support.Metrics.observe t.metrics "server.job_seconds"
       (finished_at -. submitted_at);
+    let timing = { queue_wait = wait; service } in
     match result with
-    | `Ok v -> ignore (fill cell (Ok v))
-    | `Err e -> ignore (fill cell (Error e))
+    | `Ok v -> ignore (fill ~timing cell (Ok v))
+    | `Err e -> ignore (fill ~timing cell (Error e))
     | `Died e ->
         (* count before publishing the result: an awaiter reading the
            registry right after [await] must see the crash *)
         Lg_support.Metrics.incr t.metrics "server.worker_crashes";
-        ignore (fill cell (Error e));
+        ignore (fill ~timing cell (Error e));
         raise (Crash "worker lost")
   in
   let accepted =
@@ -357,6 +370,8 @@ let await cell =
   let r = Option.get cell.h_result in
   Mutex.unlock cell.h_lock;
   r
+
+let timing cell = Mutex.protect cell.h_lock (fun () -> cell.h_timing)
 
 let queue_depth t = locked t (fun () -> total_depth t)
 let queue_peak t = locked t (fun () -> t.peak)

@@ -61,6 +61,13 @@ type t
 type 'a handle
 (** A pending result. *)
 
+type timing = {
+  queue_wait : float;  (** seconds from submit to dequeue *)
+  service : float;  (** seconds from dequeue to the job's end *)
+}
+(** The pool's one measurement of a job: the values its [server.*]
+    SLO histograms observed for it. *)
+
 type reject = {
   rj_depth : int;  (** jobs queued when the submit was refused *)
   rj_capacity : int;
@@ -134,6 +141,15 @@ val await : 'a handle -> ('a, exn) result
 
 val is_done : 'a handle -> bool
 (** The job has its result: {!await} will not block. *)
+
+val timing : 'a handle -> timing option
+(** The job's {!timing}, once it has a result. A handle is filled once
+    and the first fill wins: the harness's fill (the job returned,
+    raised, or crashed its worker) carries the timing it observed into
+    the SLO histograms; a watchdog fill (deadline passed while running)
+    or an expired-in-queue fill carries [None], and a wedged job's
+    later return changes neither the result nor the timing. [None]
+    before the job has a result. *)
 
 val queue_depth : t -> int
 (** Jobs accepted but not yet started. *)

@@ -206,11 +206,12 @@ let write_postmortem st ~job_id ~trace e =
   | _ -> ()
 
 (* session-hit/build and pass-k lifecycle events, mined from the spans
-   the job just recorded into the request tracer past [mark] — the
-   evaluator and session cache need no event-log plumbing of their own *)
-let record_lifecycle_events st ~trace ~job ~mark rt =
+   the job recorded into its request tracer (one tracer per request, so
+   every span there is this job's) — the evaluator and session cache
+   need no event-log plumbing of their own *)
+let record_lifecycle_events st ~trace ~job rt =
   if Lg_support.Eventlog.enabled st.events && Lg_support.Trace.enabled rt then
-    List.filteri (fun i _ -> i >= mark) (Lg_support.Trace.spans rt)
+    Lg_support.Trace.spans rt
     |> List.iter (fun (sp : Lg_support.Trace.span) ->
            let record kind =
              Lg_support.Eventlog.record st.events ~trace
@@ -304,7 +305,10 @@ let spool_resolve st (job : Jobfile.job) session_member =
    the fabric's ["fabric_job"] (lane chosen by the coordinator) and the
    ["update"] op: admission, lifecycle events, tenant accounting,
    supervision-failure handling and the postmortem hook are identical
-   for all three; only [render] (the outcome's answer) differs. *)
+   for all three; only [render] (the outcome's answer) differs. A job
+   is settled in one place, after [Pool.await] and before the answer is
+   rendered: its closing event and its ledger charge read the pool's
+   one measurement of it ([Pool.timing]). *)
 let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
   let deadline =
     match job.Jobfile.j_deadline with
@@ -321,52 +325,18 @@ let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
       ]
     ~job:label "submitted";
   Lg_support.Trace.begin_span rt ~cat:"queue" "queue.wait";
-  let submitted = Unix.gettimeofday () in
-  (* charge exactly once: the thunk's success path and the supervision
-     path can both reach for the ledger (a job that finishes just as
-     its watchdog fires) *)
-  let charged = Atomic.make false in
-  let charge ~ok ~exit_code ~queue_wait ~service =
-    if not (Atomic.exchange charged true) then
-      match Batch.culprit job with
-      | Some (digest, tenant_label) ->
-          Ledger.charge st.tenants ~digest ~label:tenant_label ~ok ~exit_code
-            ~queue_wait ~service
-      | None -> ()
-  in
   match
     Pool.submit ~label ~lane ?deadline st.pool (fun () ->
-        let dequeued = Unix.gettimeofday () in
         Lg_support.Trace.end_span rt ();
-        Lg_support.Eventlog.record st.events ~trace
-          ~fields:[ ("queue_wait_seconds", Num (dequeued -. submitted)) ]
-          ~job:label "dequeued";
+        Lg_support.Eventlog.record st.events ~trace ~job:label "dequeued";
         (* the request tracer is the job's tracer, so session hit/build
            and evaluator pass spans land on this request's story *)
         Lg_support.Trace.span rt ~cat:"serve" "service" @@ fun () ->
-        let mark = Lg_support.Trace.span_count rt in
-        let outcome =
-          Batch.attempt ~tracer:rt ~sessions:st.sessions
-            ?incremental:st.incremental ?chaos:st.chaos
-            ~started:(fun () ->
-              Lg_support.Eventlog.record st.events ~trace ~job:label
-                "started")
-            job
-        in
-        record_lifecycle_events st ~trace ~job:label ~mark rt;
-        let finished = Unix.gettimeofday () in
-        Lg_support.Eventlog.record st.events ~trace
-          ~fields:
-            [
-              ("exit", int outcome.Batch.o_exit);
-              ("seconds", Num (finished -. dequeued));
-            ]
-          ~job:label
-          (if outcome.Batch.o_ok then "finished" else "failed");
-        charge ~ok:outcome.Batch.o_ok ~exit_code:outcome.Batch.o_exit
-          ~queue_wait:(dequeued -. submitted)
-          ~service:(finished -. dequeued);
-        outcome)
+        Batch.attempt ~tracer:rt ~sessions:st.sessions
+          ?incremental:st.incremental ?chaos:st.chaos
+          ~started:(fun () ->
+            Lg_support.Eventlog.record st.events ~trace ~job:label "started")
+          job)
   with
   | Error { Pool.rj_depth; rj_capacity } ->
       Lg_support.Trace.end_span rt ();
@@ -375,28 +345,47 @@ let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
         ~job:label "failed";
       error_response "saturated"
         [ ("queue_depth", int rj_depth); ("capacity", int rj_capacity) ]
-  | Ok handle -> (
-      match Pool.await handle with
-      | Ok outcome -> with_trace_id trace (render outcome)
-      | Error e ->
-          let outcome =
+  | Ok handle ->
+      let result = Pool.await handle in
+      let outcome =
+        match result with
+        | Ok outcome ->
+            record_lifecycle_events st ~trace ~job:label rt;
+            outcome
+        | Error e ->
             Batch.failure_outcome ~metrics:st.metrics ~sessions:st.sessions
               job e
-          in
-          Lg_support.Eventlog.record st.events ~trace
-            ~fields:
+      in
+      (* a job the watchdog or the queue expiry failed has no timing *)
+      let timing, detail =
+        match Pool.timing handle with
+        | Some ({ Pool.queue_wait; service } as t) ->
+            ( t,
               [
-                ("exit", int outcome.Batch.o_exit);
+                ("queue_wait_seconds", Num queue_wait);
+                ("seconds", Num service);
+              ] )
+        | None ->
+            ( { Pool.queue_wait = 0.0; service = 0.0 },
+              [
                 ( "error",
                   match outcome.Batch.o_error with
                   | Some m -> Str m
                   | None -> Null );
-              ]
-            ~job:label "failed";
-          charge ~ok:false ~exit_code:outcome.Batch.o_exit ~queue_wait:0.0
-            ~service:0.0;
-          write_postmortem st ~job_id:label ~trace e;
-          with_trace_id trace (render outcome))
+              ] )
+      in
+      Lg_support.Eventlog.record st.events ~trace
+        ~fields:(("exit", int outcome.Batch.o_exit) :: detail)
+        ~job:label
+        (if outcome.Batch.o_ok then "finished" else "failed");
+      (match Batch.culprit job with
+      | Some (digest, tenant_label) ->
+          Ledger.charge st.tenants ~digest ~label:tenant_label
+            ~ok:outcome.Batch.o_ok ~exit_code:outcome.Batch.o_exit
+            ~queue_wait:timing.Pool.queue_wait ~service:timing.Pool.service
+      | None -> ());
+      Result.iter_error (write_postmortem st ~job_id:label ~trace) result;
+      with_trace_id trace (render outcome)
 
 let handle_request st ~rt ~trace doc =
   match member "op" doc with
@@ -710,25 +699,6 @@ let fresh_spool_dir () =
     (Printf.sprintf "linguist-spool-%d-%d" (Unix.getpid ())
        (Atomic.fetch_and_add spool_counter 1))
 
-(* the spool is two levels deep at most: digest dirs holding one source
-   file each *)
-let remove_spool_dir dir =
-  let rm_tree path =
-    match Sys.readdir path with
-    | entries ->
-        Array.iter
-          (fun name ->
-            try Sys.remove (Filename.concat path name) with Sys_error _ -> ())
-          entries;
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | exception Sys_error _ -> ()
-  in
-  match Sys.readdir dir with
-  | entries ->
-      Array.iter (fun name -> rm_tree (Filename.concat dir name)) entries;
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  | exception Sys_error _ -> ()
-
 let serve ?queue_capacity ?session_capacity ?session_ttl ?quarantine_after
     ?metrics ?tracer ?events ?postmortem_dir ?postmortem_keep ?incremental
     ?chaos ?deadline ?slo_window ?tenants_file ?tcp ?on_tcp_port ~workers
@@ -824,7 +794,7 @@ let serve ?queue_capacity ?session_capacity ?session_ttl ?quarantine_after
     (match st.tenants_file with
     | Some path -> ignore (Ledger.save st.tenants ~path)
     | None -> ());
-    remove_spool_dir st.spool.sp_dir;
+    Batch.rm_rf st.spool.sp_dir;
     try Unix.unlink socket with Unix.Unix_error _ -> ()
   in
   Fun.protect ~finally:finish @@ fun () ->

@@ -1563,14 +1563,14 @@ let test_serve_observability () =
 
 (* an in-process serve with incremental re-translation on, shut down
    after [f] *)
-let with_incremental_serve ?chaos ?quarantine_after f =
+let with_incremental_serve ?chaos ?quarantine_after ?metrics ?events f =
   with_temp_dir @@ fun dir ->
   let socket = Filename.concat dir "srv.sock" in
   let server =
     Thread.create
       (fun () ->
         Server.serve ~workers:2 ~queue_capacity:8 ?chaos ?quarantine_after
-          ~incremental:Batch.default_incremental ~socket ())
+          ?metrics ?events ~incremental:Batch.default_incremental ~socket ())
       ()
   in
   wait_for_socket socket;
@@ -1762,6 +1762,221 @@ let test_update_worker_fatal_quarantine () =
     [ Session.digest ~kind:"language" ~source:"desk_calc" ]
     quarantined
 
+(* ---------------- one job record ---------------- *)
+
+(* The pool measures each job once: a harness fill carries the timing
+   its SLO histograms observed, a watchdog fill carries none — and the
+   wedged job's late return does not add one. *)
+let test_pool_timing () =
+  let metrics = Lg_support.Metrics.create () in
+  let pool =
+    Pool.create ~metrics ~watchdog_interval:0.002 ~workers:1 ~queue_capacity:4
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Pool.drain pool) @@ fun () ->
+  let submit ?deadline f =
+    match Pool.submit ?deadline pool f with
+    | Ok h -> h
+    | Error _ -> Alcotest.fail "rejected"
+  in
+  let prompt = submit (fun () -> ()) in
+  ignore (Pool.await prompt);
+  (match Pool.timing prompt with
+  | Some { Pool.queue_wait; service } ->
+      Alcotest.(check bool) "measured" true (queue_wait >= 0.0 && service >= 0.0)
+  | None -> Alcotest.fail "a finished job carries its timing");
+  let returned = Atomic.make false in
+  let wedged =
+    submit ~deadline:0.05 (fun () ->
+        Unix.sleepf 0.3;
+        Atomic.set returned true)
+  in
+  (match Pool.await wedged with
+  | Error (Server_error.Error (Server_error.Deadline_exceeded _)) -> ()
+  | _ -> Alcotest.fail "the wedged job must fail its deadline");
+  Alcotest.(check bool) "no timing on a watchdog fill" true
+    (Pool.timing wedged = None);
+  (* the harness observes service_seconds right before its (losing)
+     fill: two observations mean the wedged thunk's harness is done *)
+  let service_count () =
+    match Lg_support.Metrics.find metrics "server.service_seconds" with
+    | Some (Lg_support.Metrics.Histogram h) -> h.Lg_support.Metrics.h_count
+    | _ -> 0
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while service_count () < 2 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  Alcotest.(check bool) "wedged thunk returned" true (Atomic.get returned);
+  Alcotest.(check int) "its harness ran to the end" 2 (service_count ());
+  Alcotest.(check bool) "still no timing after the late return" true
+    (Pool.timing wedged = None)
+
+let hist_sum metrics name =
+  match Lg_support.Metrics.find metrics name with
+  | Some (Lg_support.Metrics.Histogram h) -> h.Lg_support.Metrics.h_sum
+  | _ -> Alcotest.failf "%s should be a histogram" name
+
+(* Batch outcome seconds are the harness's service times. *)
+let test_batch_seconds_are_service () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let metrics = Lg_support.Metrics.create () in
+  let jobs =
+    List.init 6 (fun i ->
+        Jobfile.make ~id:(Printf.sprintf "b-%d" i) ~op:Jobfile.Analyze
+          ~file:grammar ())
+  in
+  let s = Batch.run ~workers:2 ~metrics jobs in
+  Alcotest.(check int) "all ok" 0 s.Batch.n_failed;
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) (o.Batch.o_id ^ " timed") true (o.Batch.o_seconds > 0.0))
+    s.Batch.outcomes;
+  Alcotest.(check (float 1e-9))
+    "sum of o_seconds = server.service_seconds sum"
+    (hist_sum metrics "server.service_seconds")
+    (List.fold_left (fun acc o -> acc +. o.Batch.o_seconds) 0.0 s.Batch.outcomes)
+
+let tenant_rows socket =
+  match
+    response_field
+      (Server.request ~socket (Lg_support.Json_out.parse {|{"op":"tenants"}|}))
+      "tenants"
+  with
+  | Lg_support.Json_out.Arr rows -> rows
+  | _ -> Alcotest.fail "tenants must be an array"
+
+let num_field doc name = Lg_support.Json_out.to_num (response_field doc name)
+
+let calc_job id =
+  Jobfile.make ~id ~source:"x := 10;\nprint x;\n"
+    ~op:(Jobfile.Translate (Jobfile.Language "desk_calc")) ~file:"in.calc" ()
+
+(* send [jobs] from four client threads at once, so the two workers
+   queue; answers the exit codes in job order *)
+let send_concurrently socket jobs =
+  let jobs = Array.of_list jobs in
+  let exits = Array.make (Array.length jobs) (-1) in
+  let clients =
+    List.init 4 (fun c ->
+        Thread.create
+          (fun () ->
+            Array.iteri
+              (fun i j ->
+                if i mod 4 = c then
+                  exits.(i) <-
+                    response_exit
+                      (Server.request ~attempts:50 ~backoff:0.005 ~socket
+                         (job_request j)))
+              jobs)
+          ())
+  in
+  List.iter Thread.join clients;
+  Array.to_list exits
+
+(* The tenant ledger reads the pool's one measurement: its time totals
+   are the SLO histograms' sums. *)
+let check_ledger_matches_histograms metrics socket =
+  let rows = tenant_rows socket in
+  let total name =
+    List.fold_left (fun acc row -> acc +. num_field row name) 0.0 rows
+  in
+  Alcotest.(check (float 1e-9))
+    "ledger queue wait = server.queue_wait_seconds sum"
+    (hist_sum metrics "server.queue_wait_seconds")
+    (total "queue_wait_seconds");
+  Alcotest.(check (float 1e-9))
+    "ledger service = server.service_seconds sum"
+    (hist_sum metrics "server.service_seconds")
+    (total "service_seconds");
+  rows
+
+let test_ledger_is_histograms () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let metrics = Lg_support.Metrics.create () in
+  let events = Lg_support.Eventlog.create () in
+  with_incremental_serve ~metrics ~events @@ fun socket ->
+  let jobs =
+    List.init 20 (fun i ->
+        let id = Printf.sprintf "j-%d" i in
+        if i mod 2 = 0 then calc_job id
+        else Jobfile.make ~id ~op:Jobfile.Analyze ~file:grammar ())
+  in
+  Alcotest.(check (list int)) "all ok" (List.init 20 (fun _ -> 0))
+    (send_concurrently socket jobs);
+  let rows = check_ledger_matches_histograms metrics socket in
+  Alcotest.(check int) "two tenants" 2 (List.length rows);
+  Alcotest.(check int) "every job charged" 20
+    (List.fold_left
+       (fun acc row -> acc + Lg_support.Json_out.to_int (response_field row "jobs"))
+       0 rows)
+
+(* Crashed jobs are charged the times the harness measured for them. *)
+let test_ledger_is_histograms_with_crashes () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let metrics = Lg_support.Metrics.create () in
+  let events = Lg_support.Eventlog.create () in
+  let chaos =
+    Chaos.create ~poison:"poison" { Chaos.c_seed = 7; c_rate = 0.0; c_kinds = [] }
+  in
+  with_incremental_serve ~chaos ~metrics ~events @@ fun socket ->
+  let jobs =
+    List.init 20 (fun i ->
+        if i mod 4 = 1 then
+          Jobfile.make
+            ~id:(Printf.sprintf "poison-%d" i)
+            ~op:Jobfile.Analyze ~file:grammar ()
+        else calc_job (Printf.sprintf "j-%d" i))
+  in
+  let exits = send_concurrently socket jobs in
+  let poisoned = List.filteri (fun i _ -> i mod 4 = 1) exits in
+  Alcotest.(check bool) "poisoned jobs crash, then are refused" true
+    (List.for_all (fun e -> e = 51 || e = 52) poisoned
+    && List.length (List.filter (( = ) 51) poisoned) >= 3);
+  let rows = check_ledger_matches_histograms metrics socket in
+  let row =
+    List.find
+      (fun row ->
+        Lg_support.Json_out.member "label" row
+        = Some (Lg_support.Json_out.Str "language:linguist"))
+      rows
+  in
+  Alcotest.(check bool) "crash time charged" true
+    (num_field row "service_seconds" > 0.0)
+
+(* A one-job tenant's ledger row is its finished event's timing. *)
+let test_finished_event_is_ledger_row () =
+  let metrics = Lg_support.Metrics.create () in
+  let events = Lg_support.Eventlog.create () in
+  with_incremental_serve ~metrics ~events @@ fun socket ->
+  Alcotest.(check (list int)) "ok" [ 0 ] (send_concurrently socket [ calc_job "solo" ]);
+  let kind k =
+    match
+      List.filter
+        (fun ev -> ev.Lg_support.Eventlog.ev_kind = k)
+        (Lg_support.Eventlog.recent ~job:"solo" events)
+    with
+    | [ ev ] -> ev
+    | evs -> Alcotest.failf "%d %s events" (List.length evs) k
+  in
+  Alcotest.(check int) "dequeued has no fields" 0
+    (List.length (kind "dequeued").Lg_support.Eventlog.ev_fields);
+  let field name =
+    match List.assoc_opt name (kind "finished").Lg_support.Eventlog.ev_fields with
+    | Some v -> Lg_support.Json_out.to_num v
+    | None -> Alcotest.failf "finished lacks %s" name
+  in
+  match tenant_rows socket with
+  | [ row ] ->
+      Alcotest.(check (float 0.0)) "queue wait" (field "queue_wait_seconds")
+        (num_field row "queue_wait_seconds");
+      Alcotest.(check (float 0.0)) "service" (field "seconds")
+        (num_field row "service_seconds")
+  | rows -> Alcotest.failf "%d tenant rows" (List.length rows)
+
 let () =
   Alcotest.run "server"
     [
@@ -1891,5 +2106,18 @@ let () =
             test_update_grammar_tenant;
           Alcotest.test_case "worker-fatal updates strike their tenant"
             `Quick test_update_worker_fatal_quarantine;
+        ] );
+      ( "job record",
+        [
+          Alcotest.test_case "watchdog fills carry no timing" `Quick
+            test_pool_timing;
+          Alcotest.test_case "batch seconds are service times" `Quick
+            test_batch_seconds_are_service;
+          Alcotest.test_case "ledger totals are the SLO sums" `Quick
+            test_ledger_is_histograms;
+          Alcotest.test_case "crashes keep ledger = SLO sums" `Quick
+            test_ledger_is_histograms_with_crashes;
+          Alcotest.test_case "finished event is the ledger row" `Quick
+            test_finished_event_is_ledger_row;
         ] );
     ]
