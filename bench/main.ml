@@ -1550,7 +1550,9 @@ let fabric_bench () =
   (* builds-once: replay the deterministic shard plan and compare each
      worker's session_builds counter against the distinct session
      digests it was assigned *)
-  let affinity j = Option.map fst (Lg_server.Batch.culprit j) in
+  let affinity j =
+    Option.map (fun a -> a.Lg_server.Batch.a_digest) (Lg_server.Batch.admit j)
+  in
   let plan = Lg_fabric.Shard.plan ~workers:2 ~affinity jobs in
   let job_arr = Array.of_list jobs in
   let expected_builds w =

@@ -30,19 +30,7 @@ let synthetic_ag ?(edits = []) n =
   Buffer.contents buf
 
 (* A Pascal-subset program with roughly [n] statements. *)
-let synthetic_pascal n =
-  let buf = Buffer.create (n * 32) in
-  Buffer.add_string buf
-    "program big;\nvar x : integer; y : integer; z : integer;\nbegin\n  x := 1;\n  y := 2;\n  z := 0";
-  for i = 1 to n do
-    match i mod 4 with
-    | 0 -> Buffer.add_string buf (Printf.sprintf ";\n  z := z + x * %d - y" (i mod 9))
-    | 1 -> Buffer.add_string buf (Printf.sprintf ";\n  x := x + %d" (i mod 7))
-    | 2 -> Buffer.add_string buf ";\n  y := y + x - z"
-    | _ -> Buffer.add_string buf ";\n  writeln(z)"
-  done;
-  Buffer.add_string buf "\nend.\n";
-  Buffer.contents buf
+let synthetic_pascal = Lg_languages.Pascal_ag.synthetic_program
 
 (* A desk-calculator program with [n] statements. *)
 let synthetic_calc n =

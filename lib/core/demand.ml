@@ -163,7 +163,12 @@ let eval_all (ir : Ir.t) tree =
     end
   in
   force root_ctx;
-  (root_ctx, instance_value, List.rev !applications)
+  (* results leave flat, like the engine's decoded ones *)
+  let instance_value ctx attr = Value.flatten (instance_value ctx attr) in
+  let applications =
+    List.rev_map (fun (rid, vs) -> (rid, List.map Value.flatten vs)) !applications
+  in
+  (root_ctx, instance_value, applications)
 
 let evaluate (ir : Ir.t) tree =
   let root_ctx, instance_value, applications = eval_all ir tree in

@@ -299,7 +299,7 @@ let run ?(options = default_options) (plan : Plan.t) tree =
         match e with
         | Plan.Rconst v -> v
         | Plan.Rread loc -> read_loc loc
-        | Plan.Rcall (f, args) -> Value.apply f (List.map eval_scalar args)
+        | Plan.Rcall (_, fn, args) -> fn (List.map eval_scalar args)
         | Plan.Rbinop (op, a, b) -> Sem_ops.binop op (eval_scalar a) (eval_scalar b)
         | Plan.Rnot a -> Sem_ops.not_ (eval_scalar a)
         | Plan.Rneg a -> Sem_ops.neg (eval_scalar a)

@@ -108,11 +108,10 @@ let generate_pass (plan : Plan.t) ~pass =
         match e with
         | Plan.Rconst v -> pascal_const v
         | Plan.Rread loc -> loc_text loc
-        | Plan.Rcall (f, args) ->
-            if args = [] then ident f
-            else
-              Printf.sprintf "%s(%s)" (ident f)
-                (String.concat ", " (List.map expr_text args))
+        | Plan.Rcall (f, _, []) -> ident f
+        | Plan.Rcall (f, _, args) ->
+            Printf.sprintf "%s(%s)" (ident f)
+              (String.concat ", " (List.map expr_text args))
         | Plan.Rbinop (op, a, b) ->
             Printf.sprintf "(%s %s %s)" (expr_text a) (binop_text op) (expr_text b)
         | Plan.Rnot a -> Printf.sprintf "NOT %s" (expr_text a)

@@ -5,7 +5,7 @@ type loc = Lnode of Ir.occ * int | Lglobal of int | Lframe of int
 type rexpr =
   | Rconst of Value.t
   | Rread of loc
-  | Rcall of string * rexpr list
+  | Rcall of string * (Value.t list -> Value.t) * rexpr list
   | Rbinop of Ag_ast.binop * rexpr * rexpr
   | Rnot of rexpr
   | Rneg of rexpr
@@ -91,7 +91,7 @@ let pp_loc ir prod ppf = function
 let rec pp_rexpr ir prod ppf = function
   | Rconst v -> Value.pp ppf v
   | Rread l -> pp_loc ir prod ppf l
-  | Rcall (f, args) ->
+  | Rcall (f, _, args) ->
       Format.fprintf ppf "%s(%a)" f
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")

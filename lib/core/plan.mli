@@ -22,7 +22,10 @@ type loc =
 type rexpr =
   | Rconst of Lg_support.Value.t
   | Rread of loc
-  | Rcall of string * rexpr list
+  | Rcall of
+      string * (Lg_support.Value.t list -> Lg_support.Value.t) * rexpr list
+      (** the function's source name, and the function itself, bound
+          once by {!Lg_support.Value.resolve} when the plan is built *)
   | Rbinop of Ag_ast.binop * rexpr * rexpr
   | Rnot of rexpr
   | Rneg of rexpr

@@ -161,7 +161,8 @@ let build (ir : Ir.t) (pr : Pass_assign.result) ~dead ~(alloc : Subsume.allocati
       match e with
       | Ir.Cconst v -> Rconst v
       | Ir.Cref a -> Rread (loc_of a)
-      | Ir.Ccall (f, args) -> Rcall (f, List.map resolve args)
+      | Ir.Ccall (f, args) ->
+          Rcall (f, Lg_support.Value.resolve f, List.map resolve args)
       | Ir.Cbinop (op, a, b) -> Rbinop (op, resolve a, resolve b)
       | Ir.Cnot a -> Rnot (resolve a)
       | Ir.Cneg a -> Rneg (resolve a)

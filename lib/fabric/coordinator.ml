@@ -366,7 +366,8 @@ let run ?(attempts = 3) ?(redispatch_limit = 1) ?(log = ignore) ~workers jobs =
   let prepared = prepare jobs in
   let shard =
     Shard.plan ~workers:(List.length workers)
-      ~affinity:(fun p -> Option.map fst (Batch.culprit p.p_job))
+      ~affinity:(fun p ->
+        Option.map (fun a -> a.Batch.a_digest) (Batch.admit p.p_job))
       prepared
   in
   let prepared_arr = Array.of_list prepared in

@@ -3,7 +3,7 @@
     testable without sockets.
 
     Jobs with the same affinity key (in practice: the session digest
-    their tenant caches under, {!Lg_server.Batch.culprit}) are grouped
+    their tenant caches under, {!Lg_server.Batch.admit}) are grouped
     so they land on one worker and the grammar compiles once per
     worker. A group bigger than the balanced share
     [ceil (items / workers)] is split — {e spilled} — into share-sized

@@ -172,8 +172,8 @@ let assemble ?translator:tr source =
     Option.value ~default:(Value.List []) (List.assoc_opt "CODE" outputs)
   in
   let messages =
-    match List.assoc_opt "MSGS" outputs with
-    | Some (Value.List items) ->
+    match Option.bind (List.assoc_opt "MSGS" outputs) Value.as_list with
+    | Some items ->
         List.filter_map
           (function
             | Value.Term ("msg", [ Value.Int line; Value.Term (tag, []); name ]) ->
@@ -186,7 +186,7 @@ let assemble ?translator:tr source =
                 Some (line, tag, text)
             | _ -> None)
           items
-    | _ -> []
+    | None -> []
   in
   { code; messages }
 

@@ -117,21 +117,29 @@ let run ?translator:tr source =
   let t = match tr with Some t -> t | None -> translator () in
   let result = Linguist.Translator.translate_exn t ~file:"<input>" source in
   let printed =
-    match List.assoc_opt "OUT" result.Linguist.Translator.outputs with
-    | Some (Value.List items) ->
+    match
+      Option.bind
+        (List.assoc_opt "OUT" result.Linguist.Translator.outputs)
+        Value.as_list
+    with
+    | Some items ->
         List.map (function Value.Int n -> n | _ -> 0) items
-    | _ -> []
+    | None -> []
   in
   let errors =
-    match List.assoc_opt "MSGS" result.Linguist.Translator.outputs with
-    | Some (Value.List items) ->
+    match
+      Option.bind
+        (List.assoc_opt "MSGS" result.Linguist.Translator.outputs)
+        Value.as_list
+    with
+    | Some items ->
         List.filter_map
           (function
             | Value.Term ("msg", [ Value.Int line; _; Value.Name n ]) ->
                 Some (line, Interner.text (Linguist.Translator.interner t) n)
             | _ -> None)
           items
-    | _ -> []
+    | None -> []
   in
   { printed; errors }
 

@@ -574,8 +574,8 @@ let analyze ?engine_options ?translator:tr source =
     match List.assoc_opt name outputs with Some (Value.Int n) -> n | _ -> 0
   in
   let messages =
-    match List.assoc_opt "MSGS" outputs with
-    | Some (Value.List items) ->
+    match Option.bind (List.assoc_opt "MSGS" outputs) Value.as_list with
+    | Some items ->
         List.filter_map
           (function
             | Value.Term ("msg", [ Value.Int line; Value.Term (tag, []); name ]) ->
@@ -587,18 +587,18 @@ let analyze ?engine_options ?translator:tr source =
                 Some (line, tag, text)
             | _ -> None)
           items
-    | _ -> []
+    | None -> []
   in
   let report =
-    match List.assoc_opt "REPORT" outputs with
-    | Some (Value.List items) ->
+    match Option.bind (List.assoc_opt "REPORT" outputs) Value.as_list with
+    | Some items ->
         List.filter_map
           (function
             | Value.List [ Value.Int ord; Value.Name n ] ->
                 Some (ord, Interner.text names n)
             | _ -> None)
           items
-    | _ -> []
+    | None -> []
   in
   {
     messages;

@@ -337,8 +337,12 @@ let compile ?translator:tr source =
       (List.assoc_opt "CODE" result.Linguist.Translator.outputs)
   in
   let messages =
-    match List.assoc_opt "MSGS" result.Linguist.Translator.outputs with
-    | Some (Value.List items) ->
+    match
+      Option.bind
+        (List.assoc_opt "MSGS" result.Linguist.Translator.outputs)
+        Value.as_list
+    with
+    | Some items ->
         List.filter_map
           (function
             | Value.Term ("msg", [ Value.Int line; Value.Term (tag, []); name ]) ->
@@ -351,7 +355,7 @@ let compile ?translator:tr source =
                 Some (line, tag, name_text)
             | _ -> None)
           items
-    | _ -> []
+    | None -> []
   in
   { code; messages }
 
@@ -362,3 +366,17 @@ let run_program ?translator source =
   | (line, tag, name) :: _ ->
       failwith
         (Printf.sprintf "Pascal_ag.run_program: line %d: %s %s" line tag name)
+
+let synthetic_program n =
+  let buf = Buffer.create (n * 32) in
+  Buffer.add_string buf
+    "program big;\nvar x : integer; y : integer; z : integer;\nbegin\n  x := 1;\n  y := 2;\n  z := 0";
+  for i = 1 to n do
+    match i mod 4 with
+    | 0 -> Buffer.add_string buf (Printf.sprintf ";\n  z := z + x * %d - y" (i mod 9))
+    | 1 -> Buffer.add_string buf (Printf.sprintf ";\n  x := x + %d" (i mod 7))
+    | 2 -> Buffer.add_string buf ";\n  y := y + x - z"
+    | _ -> Buffer.add_string buf ";\n  writeln(z)"
+  done;
+  Buffer.add_string buf "\nend.\n";
+  Buffer.contents buf

@@ -6,9 +6,10 @@ exception Stuck of string
 
 let stuck fmt = Format.kasprintf (fun s -> raise (Stuck s)) fmt
 
-let instructions = function
-  | Value.List items -> Array.of_list items
-  | v -> stuck "program is not a list: %s" (Value.to_string v)
+let instructions v =
+  match Value.as_list v with
+  | Some items -> Array.of_list items
+  | None -> stuck "program is not a list: %s" (Value.to_string v)
 
 let instruction_count program = Array.length (instructions program)
 

@@ -154,14 +154,58 @@ let update_payload ~outputs ~tree_size ~input_lines =
       ("input_lines", int input_lines);
     ]
 
+type admission = { a_digest : string; a_label : string; a_grammar : string option }
+
+(* The key a grammar text caches under: the one
+   [Session.translator_session] builds it with. *)
+let grammar_admission ~file source =
+  {
+    a_digest = Session.digest ~kind:"translator" ~source;
+    a_label = "translator:" ^ Filename.basename file;
+    a_grammar = Some source;
+  }
+
+(* The session a translate/update tenant is served from: a built-in by
+   name, a grammar file by the digest of its text; [None] when the file
+   cannot be read. *)
+let tenant_admission = function
+  | Jobfile.Language lang ->
+      Some
+        {
+          a_digest = Session.digest ~kind:"language" ~source:lang;
+          a_label = "language:" ^ lang;
+          a_grammar = None;
+        }
+  | Jobfile.Grammar path -> (
+      match read_file path with
+      | source -> Some (grammar_admission ~file:path source)
+      | exception _ -> None)
+
+(* A [Check] is a job on its grammar, whose text is the job's own
+   input. *)
+let admit (j : Jobfile.job) =
+  match j.Jobfile.j_op with
+  | Jobfile.Check -> (
+      match j.Jobfile.j_source with
+      | Some source -> Some (grammar_admission ~file:j.Jobfile.j_file source)
+      | None -> tenant_admission (Jobfile.Grammar j.Jobfile.j_file))
+  | Jobfile.Analyze -> tenant_admission (Jobfile.Language "linguist")
+  | Jobfile.Translate t | Jobfile.Update t -> tenant_admission t
+
 (* Resolve a translate/update tenant to its cached translator session:
    built-ins by name, grammar files by content digest (two jobs naming
-   the same .ag text share one compilation). *)
-let tenant_translator ~sessions = function
+   the same .ag text share one compilation), taken from the admitted
+   text when there is one. *)
+let tenant_translator ~sessions ?admission = function
   | Jobfile.Language lang -> Session.language_session sessions lang
-  | Jobfile.Grammar path ->
-      Session.translator_session sessions ~file:path ~source:(read_file path)
-        ()
+  | Jobfile.Grammar path -> (
+      match admission with
+      | Some { a_digest; a_grammar = Some source; _ } ->
+          Session.translator_session sessions ~digest:a_digest ~file:path
+            ~source ()
+      | _ ->
+          Session.translator_session sessions ~file:path
+            ~source:(read_file path) ())
 
 (* every session a job resolves is a translator session *)
 let translator_of (session : Session.t) =
@@ -176,7 +220,7 @@ let count_lines source =
   if n > 0 && source.[n - 1] <> '\n' then incr lines;
   !lines
 
-let run_job ~sessions ?incremental (j : Jobfile.job) =
+let run_job ~sessions ?incremental ?admission (j : Jobfile.job) =
   let finish ?incremental ~ok ~code ~error payload =
     {
       o_id = j.Jobfile.j_id;
@@ -225,10 +269,12 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
     let source =
       (* inline source wins: a fabric-shipped job carries its input text
-         and keeps j_file as a label only *)
-      match j.Jobfile.j_source with
-      | Some s -> s
-      | None -> read_file j.Jobfile.j_file
+         and keeps j_file as a label only; a check's input is the
+         grammar text it was admitted with *)
+      match (j.Jobfile.j_op, admission, j.Jobfile.j_source) with
+      | Jobfile.Check, Some { a_grammar = Some g; _ }, _ -> g
+      | _, _, Some s -> s
+      | _, _, None -> read_file j.Jobfile.j_file
     in
     let engine_options = engine_options_of j ~dir in
     match j.Jobfile.j_op with
@@ -236,7 +282,9 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
         (* the grammar's translator session: a check and the grammar's
            translations share one cache entry and one build *)
         let session =
-          Session.translator_session sessions ~file:j.Jobfile.j_file ~source ()
+          Session.translator_session sessions
+            ?digest:(Option.map (fun a -> a.a_digest) admission)
+            ~file:j.Jobfile.j_file ~source ()
         in
         finish ~ok:true ~code:0 ~error:None
           (check_payload (Linguist.Translator.artifact (translator_of session)))
@@ -249,7 +297,9 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
         in
         finish ~ok:true ~code:0 ~error:None (analyze_payload a)
     | Jobfile.Translate tenant -> (
-        let translator = translator_of (tenant_translator ~sessions tenant) in
+        let translator =
+          translator_of (tenant_translator ~sessions ?admission tenant)
+        in
         match
           Linguist.Translator.translate ~engine_options translator
             ~file:j.Jobfile.j_file source
@@ -259,7 +309,7 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
             failed ~code:1
               (Linguist.Listing.errors_only ~source ~file:j.Jobfile.j_file diag))
     | Jobfile.Update tenant -> (
-        let session = tenant_translator ~sessions tenant in
+        let session = tenant_translator ~sessions ?admission tenant in
         let translator = translator_of session in
         let diag = Lg_support.Diag.create () in
         match
@@ -327,42 +377,13 @@ let run_job ~sessions ?incremental (j : Jobfile.job) =
 let default_workers () =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
-(* The key a grammar text caches under: the one
-   [Session.translator_session] builds it with. *)
-let grammar_digest ~file source =
-  ( Session.digest ~kind:"translator" ~source,
-    "translator:" ^ Filename.basename file )
-
-(* The session a translate/update tenant is served from: a built-in by
-   name, a grammar file by the digest of its text; [None] when the file
-   cannot be read. *)
-let tenant_digest = function
-  | Jobfile.Language lang ->
-      Some (Session.digest ~kind:"language" ~source:lang, "language:" ^ lang)
-  | Jobfile.Grammar path -> (
-      match read_file path with
-      | source -> Some (grammar_digest ~file:path source)
-      | exception _ -> None)
-
-(* The session a job holds responsible when it takes a worker down: the
-   digest its tenant would cache under, so strikes line up with what
-   [find_or_build] will refuse once quarantined. A [Check] is a job on
-   its grammar, whose text is the job's own input. *)
-let culprit (j : Jobfile.job) =
-  match j.Jobfile.j_op with
-  | Jobfile.Check -> (
-      match j.Jobfile.j_source with
-      | Some source -> Some (grammar_digest ~file:j.Jobfile.j_file source)
-      | None -> tenant_digest (Jobfile.Grammar j.Jobfile.j_file))
-  | Jobfile.Analyze -> tenant_digest (Jobfile.Language "linguist")
-  | Jobfile.Translate t | Jobfile.Update t -> tenant_digest t
-
 (* admission control, ahead of everything else in the thunk (including
    chaos injection): a job naming a quarantined session is refused with
    the typed diagnostic before it can burn a worker *)
-let quarantine_gate ~sessions (j : Jobfile.job) =
-  match culprit j with
-  | Some (digest, label) when Session.is_quarantined sessions ~digest ->
+let quarantine_gate ~sessions admission =
+  match admission with
+  | Some { a_digest = digest; a_label = label; _ }
+    when Session.is_quarantined sessions ~digest ->
       Server_error.raise_
         (Server_error.Session_quarantined
            { digest; label; strikes = Session.strike_count sessions ~digest })
@@ -378,18 +399,18 @@ let chaos_gate chaos (j : Jobfile.job) =
   | Some Chaos.Wedge_job -> Unix.sleepf (Chaos.wedge_seconds chaos)
   | Some Chaos.Crash_job -> raise (Pool.Crash "chaos: injected worker crash")
 
-let attempt ~tracer ~sessions ?incremental ?chaos ~started j =
+let attempt ~tracer ~sessions ?incremental ?chaos ~admission ~started j =
   let prev = Lg_support.Trace.ambient () in
   Lg_support.Trace.install tracer;
   Fun.protect ~finally:(fun () -> Lg_support.Trace.install prev) @@ fun () ->
-  quarantine_gate ~sessions j;
+  quarantine_gate ~sessions admission;
   Option.iter
     (fun c ->
       Lg_support.Trace.span tracer ~cat:"chaos" "chaos.gate" (fun () ->
           chaos_gate c j))
     chaos;
   started ();
-  run_job ~sessions ?incremental j
+  run_job ~sessions ?incremental ?admission j
 
 let error_outcome (j : Jobfile.job) ~code msg =
   {
@@ -404,14 +425,14 @@ let error_outcome (j : Jobfile.job) ~code msg =
     o_incremental = None;
   }
 
-let failure_outcome ?(metrics = Lg_support.Metrics.null) ~sessions
+let failure_outcome ?(metrics = Lg_support.Metrics.null) ~sessions ~admission
     (j : Jobfile.job) exn =
   match exn with
   | Server_error.Error e ->
       (match e with
       | Server_error.Worker_crashed _ | Server_error.Deadline_exceeded _ -> (
-          match culprit j with
-          | Some (digest, label) ->
+          match admission with
+          | Some { a_digest = digest; a_label = label; _ } ->
               let n = Session.strike sessions ~digest ~label in
               if n = Session.quarantine_threshold sessions then
                 Lg_support.Metrics.incr metrics "server.quarantined"
@@ -440,7 +461,7 @@ let run ?workers ?sessions ?metrics ?tracer ?incremental ?chaos ?deadline jobs =
   in
   (* each job runs inside its own trace story, spliced into the run-wide
      trace when done; [absorb] is a no-op when the parent is disabled *)
-  let job j () =
+  let job j admission () =
     let jt =
       if Lg_support.Trace.enabled parent then Lg_support.Trace.create ()
       else Lg_support.Trace.null
@@ -448,7 +469,8 @@ let run ?workers ?sessions ?metrics ?tracer ?incremental ?chaos ?deadline jobs =
     Fun.protect ~finally:(fun () -> Lg_support.Trace.absorb parent jt)
     @@ fun () ->
     Lg_support.Trace.span jt ~cat:"job" j.Jobfile.j_id (fun () ->
-        attempt ~tracer:jt ~sessions ?incremental ?chaos ~started:ignore j)
+        attempt ~tracer:jt ~sessions ?incremental ?chaos ~admission
+          ~started:ignore j)
   in
   let t0 = Unix.gettimeofday () in
   let pool =
@@ -458,9 +480,10 @@ let run ?workers ?sessions ?metrics ?tracer ?incremental ?chaos ?deadline jobs =
     Fun.protect ~finally:(fun () -> Pool.drain pool) @@ fun () ->
     List.map
       (fun j ->
+        let admission = admit j in
         match
           Pool.submit ~label:j.Jobfile.j_id ~lane:Pool.Bulk
-            ?deadline:(job_deadline j) pool (job j)
+            ?deadline:(job_deadline j) pool (job j admission)
         with
         | Error _ ->
             (* capacity = job count: unreachable, but keep it total *)
@@ -471,7 +494,7 @@ let run ?workers ?sessions ?metrics ?tracer ?incremental ?chaos ?deadline jobs =
                 (let o =
                    match Pool.await h with
                    | Ok outcome -> outcome
-                   | Error e -> failure_outcome ~metrics ~sessions j e
+                   | Error e -> failure_outcome ~metrics ~sessions ~admission j e
                  in
                  match Pool.timing h with
                  | Some { Pool.service; _ } -> { o with o_seconds = service }

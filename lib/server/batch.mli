@@ -68,10 +68,33 @@ type incremental = { inc_threshold : float; inc_spill : bool }
 val default_incremental : incremental
 (** threshold 0.5, no spilling. *)
 
+type admission = {
+  a_digest : string;  (** the session digest the job is served from *)
+  a_label : string;  (** that session's label, e.g. [translator:g.ag] *)
+  a_grammar : string option;
+      (** a grammar tenant's text as read at admission; [None] for a
+          built-in language *)
+}
+(** A job's tenant, resolved once when the job is admitted: the
+    quarantine gate, the session lookup, a supervision strike and the
+    serve ledger's charge all use this one record, so a grammar file
+    rewritten while the job waits or runs changes none of them. *)
+
+val admit : Jobfile.job -> admission option
+(** Read and digest the job's tenant: a built-in language by name, a
+    grammar file by its text, a [check] by its input (inline source
+    first, else the file). [None] when a grammar file cannot be read. *)
+
 val run_job :
-  sessions:Session.cache -> ?incremental:incremental -> Jobfile.job -> outcome
+  sessions:Session.cache ->
+  ?incremental:incremental ->
+  ?admission:admission ->
+  Jobfile.job ->
+  outcome
 (** One job, synchronously, in the calling domain — the unit of work the
     pool executes. Never raises: every failure lands in the outcome.
+    With [admission], a grammar tenant (or a check's grammar) is served
+    from the admitted text and digest instead of re-reading the file.
     Reads no clock: the outcome's [o_seconds] is 0 here, and {!run}
     fills it from the pool's measurement.
     Without [incremental], [update] jobs still answer correctly but
@@ -88,30 +111,24 @@ val check_payload : Linguist.Driver.artifact -> Lg_support.Json_out.t
 val default_workers : unit -> int
 (** [min 4 (recommended_domain_count - 1)], at least 1. *)
 
-val culprit : Jobfile.job -> (string * string) option
-(** [(digest, label)] of the session a job would be served from — the
-    digest its tenant caches under, the one {!failure_outcome} strikes
-    and the serve front-end's per-tenant accounting charges. A [check]
-    job's session is its grammar's translator session, keyed by the
-    job's input text (inline source first, else the file). [None] when
-    a grammar file cannot be read. *)
-
 val attempt :
   tracer:Lg_support.Trace.t ->
   sessions:Session.cache ->
   ?incremental:incremental ->
   ?chaos:Chaos.t ->
+  admission:admission option ->
   started:(unit -> unit) ->
   Jobfile.job ->
   outcome
 (** The job thunk every executor runs — {!run}'s per-job body and the
     serve front-end's job ops alike. With [tracer] installed as the
     ambient tracer it runs, in order: the quarantine gate (raises the
-    typed {!Server_error.Session_quarantined} when the job's tenant
+    typed {!Server_error.Session_quarantined} when the [admission]'s
     session is quarantined, so a refusal never burns a worker),
     [chaos]'s injection decision ({!Chaos.on_job}) under a [chaos.gate]
     span ([Delay_job]/[Wedge_job] sleep, [Crash_job] raises
-    {!Pool.Crash}), then [started ()], then {!run_job}. *)
+    {!Pool.Crash}), then [started ()], then {!run_job} with the
+    [admission]. *)
 
 val error_outcome : Jobfile.job -> code:int -> string -> outcome
 (** A failed outcome for the job with exit [code] and message: no
@@ -120,6 +137,7 @@ val error_outcome : Jobfile.job -> code:int -> string -> outcome
 val failure_outcome :
   ?metrics:Lg_support.Metrics.t ->
   sessions:Session.cache ->
+  admission:admission option ->
   Jobfile.job ->
   exn ->
   outcome
@@ -127,8 +145,8 @@ val failure_outcome :
     [Error e] arm of {!Pool.await}, and the serve front-end's
     equivalent. A typed {!Server_error.Error} keeps its exit code and
     rendered message; anything else is exit 1. [Worker_crashed] and
-    [Deadline_exceeded] additionally {!Session.strike} the job's tenant
-    session (crossing the quarantine threshold bumps
+    [Deadline_exceeded] additionally {!Session.strike} the admitted
+    tenant session (crossing the quarantine threshold bumps
     [server.quarantined] on [metrics]). *)
 
 val run :

@@ -38,17 +38,18 @@ type 'a handle = {
 
 (* first fill wins: the watchdog and the worker may race to complete a
    job, and exactly one side's result — with its timing, if it measured
-   one — must stand *)
-let fill ?timing cell result =
-  Mutex.lock cell.h_lock;
-  let filled = cell.h_result = None in
-  if filled then begin
-    cell.h_result <- Some result;
-    cell.h_timing <- timing;
-    Condition.broadcast cell.h_done
-  end;
-  Mutex.unlock cell.h_lock;
-  filled
+   one — must stand. [on_win] runs only for the winner, before an
+   awaiter can see the result. *)
+let fill ?(on_win = ignore) ?timing cell result =
+  Mutex.protect cell.h_lock (fun () ->
+      let filled = cell.h_result = None in
+      if filled then begin
+        on_win ();
+        cell.h_result <- Some result;
+        cell.h_timing <- timing;
+        Condition.broadcast cell.h_done
+      end;
+      filled)
 
 type inflight = {
   if_label : string;
@@ -280,24 +281,6 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
     }
   in
   let run started_at =
-    (* the one measurement of a job. The SLO split: queue wait ends when
-       a worker picks the job up, service is everything from there to
-       completion — both on the latency ladder, where job_seconds (their
-       sum) keeps its coarse historical buckets — and the same two
-       numbers ride on the handle for the caller's events and ledger *)
-    let wait = started_at -. submitted_at in
-    Lg_support.Metrics.observe t.metrics
-      ~buckets:Lg_support.Metrics.latency_buckets "server.queue_wait_seconds"
-      wait;
-    (* the per-lane wait split the coordinator's placement bench reads:
-       interactive waits must stay short even under a bulk backlog *)
-    Lg_support.Metrics.observe t.metrics
-      ~buckets:Lg_support.Metrics.latency_buckets
-      (Printf.sprintf "server.queue_wait_%s_seconds" (lane_name lane))
-      wait;
-    Lg_support.Metrics.observe_window t.metrics
-      ~buckets:Lg_support.Metrics.latency_buckets ~window:t.slo_window
-      "server.queue_wait_recent_seconds" wait;
     let result =
       match f () with
       | v -> `Ok v
@@ -314,25 +297,47 @@ let submit ?(label = "") ?(lane = Interactive) ?deadline t f =
                   { job = label; detail = "Out_of_memory" }))
       | exception e -> `Err e
     in
+    (* the one measurement of a job. The SLO split: queue wait ends when
+       a worker picks the job up, service is everything from there to
+       completion — both on the latency ladder, where job_seconds (their
+       sum) keeps its coarse historical buckets — and the same two
+       numbers ride on the handle for the caller's events and ledger *)
     let finished_at = Unix.gettimeofday () in
+    let wait = started_at -. submitted_at in
     let service = finished_at -. started_at in
-    Lg_support.Metrics.observe t.metrics
-      ~buckets:Lg_support.Metrics.latency_buckets "server.service_seconds"
-      service;
-    Lg_support.Metrics.observe_window t.metrics
-      ~buckets:Lg_support.Metrics.latency_buckets ~window:t.slo_window
-      "server.service_recent_seconds" service;
-    Lg_support.Metrics.observe t.metrics "server.job_seconds"
-      (finished_at -. submitted_at);
-    let timing = { queue_wait = wait; service } in
+    let observe () =
+      let latency = Lg_support.Metrics.latency_buckets in
+      Lg_support.Metrics.observe t.metrics ~buckets:latency
+        "server.queue_wait_seconds" wait;
+      (* the per-lane wait split the coordinator's placement bench reads:
+         interactive waits must stay short even under a bulk backlog *)
+      Lg_support.Metrics.observe t.metrics ~buckets:latency
+        (Printf.sprintf "server.queue_wait_%s_seconds" (lane_name lane))
+        wait;
+      Lg_support.Metrics.observe_window t.metrics ~buckets:latency
+        ~window:t.slo_window "server.queue_wait_recent_seconds" wait;
+      Lg_support.Metrics.observe t.metrics ~buckets:latency
+        "server.service_seconds" service;
+      Lg_support.Metrics.observe_window t.metrics ~buckets:latency
+        ~window:t.slo_window "server.service_recent_seconds" service;
+      Lg_support.Metrics.observe t.metrics "server.job_seconds"
+        (finished_at -. submitted_at)
+    in
+    (* the histograms observe the job only when this measurement stands:
+       a job the watchdog already failed carries no timing to its caller,
+       so its late return feeds no histogram and is only counted *)
+    let settle r =
+      if not (fill ~on_win:observe ~timing:{ queue_wait = wait; service } cell r)
+      then Lg_support.Metrics.incr t.metrics "server.late_returns"
+    in
     match result with
-    | `Ok v -> ignore (fill ~timing cell (Ok v))
-    | `Err e -> ignore (fill ~timing cell (Error e))
+    | `Ok v -> settle (Ok v)
+    | `Err e -> settle (Error e)
     | `Died e ->
         (* count before publishing the result: an awaiter reading the
            registry right after [await] must see the crash *)
         Lg_support.Metrics.incr t.metrics "server.worker_crashes";
-        ignore (fill ~timing cell (Error e));
+        settle (Error e);
         raise (Crash "worker lost")
   in
   let accepted =

@@ -49,7 +49,10 @@
     [server.service_seconds] (dequeue to completion) on the
     {!Lg_support.Metrics.latency_buckets} ladder,
     and the supervision counters [server.worker_crashes],
-    [server.worker_restarts] and [server.deadline_exceeded].
+    [server.worker_restarts] and [server.deadline_exceeded]. The
+    histograms observe a job only when its harness fills the result; a
+    job the watchdog failed first is never observed, and its late
+    return counts [server.late_returns] instead.
 
     Ambient {e tracers} are deliberately not installed here: a trace is
     one well-nested story, so per-job tracers are the callers' business

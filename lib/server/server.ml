@@ -316,6 +316,7 @@ let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
     | None -> st.deadline
   in
   let label = job.Jobfile.j_id in
+  let admission = Batch.admit job in
   Lg_support.Eventlog.record st.events ~trace
     ~fields:
       [
@@ -333,7 +334,7 @@ let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
            and evaluator pass spans land on this request's story *)
         Lg_support.Trace.span rt ~cat:"serve" "service" @@ fun () ->
         Batch.attempt ~tracer:rt ~sessions:st.sessions
-          ?incremental:st.incremental ?chaos:st.chaos
+          ?incremental:st.incremental ?chaos:st.chaos ~admission
           ~started:(fun () ->
             Lg_support.Eventlog.record st.events ~trace ~job:label "started")
           job)
@@ -354,7 +355,7 @@ let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
             outcome
         | Error e ->
             Batch.failure_outcome ~metrics:st.metrics ~sessions:st.sessions
-              job e
+              ~admission job e
       in
       (* a job the watchdog or the queue expiry failed has no timing *)
       let timing, detail =
@@ -378,8 +379,8 @@ let run_job_op st ~rt ~trace ~lane ~render (job : Jobfile.job) =
         ~fields:(("exit", int outcome.Batch.o_exit) :: detail)
         ~job:label
         (if outcome.Batch.o_ok then "finished" else "failed");
-      (match Batch.culprit job with
-      | Some (digest, tenant_label) ->
+      (match admission with
+      | Some { Batch.a_digest = digest; a_label = tenant_label; _ } ->
           Ledger.charge st.tenants ~digest ~label:tenant_label
             ~ok:outcome.Batch.o_ok ~exit_code:outcome.Batch.o_exit
             ~queue_wait:timing.Pool.queue_wait ~service:timing.Pool.service

@@ -417,8 +417,10 @@ let doc_slot c ~digest ~doc =
 
 let doc_count c = locked c (fun () -> Hashtbl.length c.docs)
 
-let translator_session c ~file ~source () =
-  let key = digest ~kind:"translator" ~source in
+let translator_session c ?digest:key ~file ~source () =
+  let key =
+    match key with Some k -> k | None -> digest ~kind:"translator" ~source
+  in
   find_or_build c ~digest:key
     ~label:("translator:" ^ Filename.basename file)
     ~build:(fun () ->

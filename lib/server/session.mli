@@ -182,6 +182,7 @@ val doc_count : cache -> int
 
 val translator_session :
   cache ->
+  ?digest:string ->
   file:string ->
   source:string ->
   unit ->
@@ -191,7 +192,8 @@ val translator_session :
     ({!Linguist.Translator.of_source}), keyed by the source's content
     digest. This is how ["grammar"]-tenant translate/update jobs and
     [check] jobs of the same grammar text share one compilation (the
-    corpus multi-tenant path; see [docs/CORPUS.md]).
+    corpus multi-tenant path; see [docs/CORPUS.md]). [digest], when the
+    caller has it already, must be [digest ~kind:"translator" ~source].
     @raise Failure with the rendered diagnostics when the grammar has
     errors. *)
 

@@ -5,40 +5,80 @@ type t =
   | Str of string
   | Name of Interner.name
   | List of t list
+  | Cat of int * t * t
   | Set of t list
   | Pf of (t * t) list
   | Term of string * t list
 
+(* Sequences -------------------------------------------------------------- *)
+
+(* A [Cat (n, l, r)] is the concatenation of the sequences [l] and [r]
+   (each a [List] or a [Cat]) and caches its length [n]. Traversals keep
+   the pending subtrees on an explicit heap stack, so a rope of any depth,
+   left- or right-nested, walks in constant native stack. *)
+
+let seq_length = function
+  | List items -> List.length items
+  | Cat (n, _, _) -> n
+  | _ -> invalid_arg "Value.seq_length"
+
+let to_list v =
+  (* right to left, so each leaf is prepended once; the rightmost leaf is
+     shared, not copied *)
+  let rec go acc = function
+    | [] -> acc
+    | List items :: stack -> go (match acc with [] -> items | _ -> items @ acc) stack
+    | Cat (_, l, r) :: stack -> go acc (r :: l :: stack)
+    | _ :: _ -> invalid_arg "Value.to_list: a rope leaf is not a sequence"
+  in
+  match v with List items -> items | v -> go [] [ v ]
+
+let iter_seq f v =
+  let rec go = function
+    | [] -> ()
+    | List items :: stack ->
+        List.iter f items;
+        go stack
+    | Cat (_, l, r) :: stack -> go (l :: r :: stack)
+    | _ :: _ -> invalid_arg "Value.iter_seq: a rope leaf is not a sequence"
+  in
+  go [ v ]
+
 (* Structural order; constructors compare by declaration order. Set and Pf
-   are canonical, so this is also a semantic order. *)
+   are canonical, so this is also a semantic order. A [Cat] orders exactly
+   as the [List] it denotes. *)
 let rec compare a b =
-  match (a, b) with
-  | Bottom, Bottom -> 0
-  | Bottom, _ -> -1
-  | _, Bottom -> 1
-  | Int x, Int y -> Stdlib.compare x y
-  | Int _, _ -> -1
-  | _, Int _ -> 1
-  | Bool x, Bool y -> Stdlib.compare x y
-  | Bool _, _ -> -1
-  | _, Bool _ -> 1
-  | Str x, Str y -> String.compare x y
-  | Str _, _ -> -1
-  | _, Str _ -> 1
-  | Name x, Name y -> Stdlib.compare x y
-  | Name _, _ -> -1
-  | _, Name _ -> 1
-  | List x, List y -> compare_list x y
-  | List _, _ -> -1
-  | _, List _ -> 1
-  | Set x, Set y -> compare_list x y
-  | Set _, _ -> -1
-  | _, Set _ -> 1
-  | Pf x, Pf y -> compare_pairs x y
-  | Pf _, _ -> -1
-  | _, Pf _ -> 1
-  | Term (f, x), Term (g, y) -> (
-      match String.compare f g with 0 -> compare_list x y | n -> n)
+  if a == b then 0
+  else
+    match (a, b) with
+    | Cat _, _ -> compare (List (to_list a)) b
+    | _, Cat _ -> compare a (List (to_list b))
+    | Bottom, Bottom -> 0
+    | Bottom, _ -> -1
+    | _, Bottom -> 1
+    | Int x, Int y -> Stdlib.compare x y
+    | Int _, _ -> -1
+    | _, Int _ -> 1
+    | Bool x, Bool y -> Stdlib.compare x y
+    | Bool _, _ -> -1
+    | _, Bool _ -> 1
+    | Str x, Str y -> String.compare x y
+    | Str _, _ -> -1
+    | _, Str _ -> 1
+    | Name x, Name y -> Stdlib.compare x y
+    | Name _, _ -> -1
+    | _, Name _ -> 1
+    | List x, List y -> compare_list x y
+    | List _, _ -> -1
+    | _, List _ -> 1
+    | Set x, Set y -> compare_list x y
+    | Set _, _ -> -1
+    | _, Set _ -> 1
+    | Pf x, Pf y -> compare_pairs x y
+    | Pf _, _ -> -1
+    | _, Pf _ -> 1
+    | Term (f, x), Term (g, y) -> (
+        match String.compare f g with 0 -> compare_list x y | n -> n)
 
 and compare_list x y =
   match (x, y) with
@@ -70,6 +110,7 @@ let rec pp ppf v =
   | Str s -> Format.fprintf ppf "%S" s
   | Name n -> Format.fprintf ppf "#%d" n
   | List items -> Format.fprintf ppf "@[<hov 1>[%a]@]" (pp_items ";") items
+  | Cat _ -> pp ppf (List (to_list v))
   | Set items -> Format.fprintf ppf "@[<hov 1>{%a}@]" (pp_items ";") items
   | Pf bindings ->
       let pp_binding ppf (k, v) = Format.fprintf ppf "%a->%a" pp k pp v in
@@ -91,7 +132,7 @@ let set_of_list items = Set (List.sort_uniq compare items)
 let set_elements = function
   | Set items -> items
   | Bottom -> []
-  | List items -> List.sort_uniq compare items
+  | (List _ | Cat _) as v -> List.sort_uniq compare (to_list v)
   | v -> [ v ]
 
 let set_add x s = set_of_list (x :: set_elements s)
@@ -126,7 +167,10 @@ let pf_domain pf = set_of_list (List.map fst (pf_bindings pf))
 
 let is_true = function Bool b -> b | _ -> false
 let as_int = function Int n -> Some n | _ -> None
-let as_list = function List items -> Some items | _ -> None
+let as_list = function
+  | List items -> Some items
+  | Cat _ as v -> Some (to_list v)
+  | _ -> None
 
 (* Standard library ------------------------------------------------------- *)
 
@@ -143,17 +187,71 @@ let normalize_name s =
 
 let list_of = function
   | List items -> items
+  | Cat _ as v -> to_list v
   | Bottom -> []
   | v -> [ v ]
+
+(* The sequence a list-package argument denotes: [Bottom] is empty and any
+   other non-sequence a singleton, as in {!list_of}. *)
+let seq_of = function
+  | (List _ | Cat _) as v -> v
+  | Bottom -> List []
+  | v -> List [ v ]
+
+let append a b =
+  match (seq_of a, seq_of b) with
+  | List [], s | s, List [] -> s
+  | a, b -> Cat (seq_length a + seq_length b, a, b)
+
+let cons x = function
+  | Cat (n, _, _) as l -> Cat (n + 1, List [ x ], l)
+  | l -> List (x :: list_of l)
+
+(* Functions that take a sequence apart see the flat list a rope
+   denotes. *)
+let flat_args f args =
+  if List.exists (function Cat _ -> true | _ -> false) args then
+    f (List.map (function Cat _ as v -> List (to_list v) | v -> v) args)
+  else f args
 
 let int_of = function Int n -> n | Bool true -> 1 | _ -> 0
 
 let fn_consmsg = function
   | [ _line; Bottom; _name; rest ] -> rest
-  | [ line; err; name; rest ] -> List (Term ("msg", [ line; err; name ]) :: list_of rest)
+  | [ line; err; name; rest ] -> cons (Term ("msg", [ line; err; name ])) rest
   | args -> Term ("cons$msg", args)
 
-let functions : (string * (t list -> t)) list =
+(* The list-package constructors and measures: they take ropes as they
+   are. *)
+let sequence_functions : (string * (t list -> t)) list =
+  [
+    ( "sizeof",
+      function
+      | [ Set items ] -> Int (List.length items)
+      | [ List items ] -> Int (List.length items)
+      | [ Cat (n, _, _) ] -> Int n
+      | [ Pf bs ] -> Int (List.length bs)
+      | [ Bottom ] -> Int 0
+      | args -> Term ("sizeof", args) );
+    ("cons", function [ x; l ] -> cons x l | args -> Term ("cons", args));
+    ( "cons2",
+      function
+      | [ a; b; l ] -> cons (List [ a; b ]) l
+      | args -> Term ("cons2", args) );
+    ( "cons3",
+      function
+      | [ a; b; c; l ] -> cons (List [ a; b; c ]) l
+      | args -> Term ("cons3", args) );
+    ("append", function [ a; b ] -> append a b | args -> Term ("append", args));
+    ( "lengthof",
+      function
+      | [ l ] -> Int (seq_length (seq_of l)) | args -> Term ("lengthof", args) );
+    ("consmsg", fn_consmsg);
+    ( "mergemsgs",
+      function [ a; b ] -> append a b | args -> Term ("merge$msgs", args) );
+  ]
+
+let other_functions : (string * (t list -> t)) list =
   [
     ("union", function [ a; b ] -> set_union a b | args -> Term ("union", args));
     ( "unionsetof",
@@ -163,27 +261,7 @@ let functions : (string * (t list -> t)) list =
       function [ a; b ] -> set_inter a b | args -> Term ("intersect", args) );
     ( "setminus",
       function [ a; b ] -> set_minus a b | args -> Term ("setminus", args) );
-    ( "sizeof",
-      function
-      | [ Set items ] -> Int (List.length items)
-      | [ List items ] -> Int (List.length items)
-      | [ Pf bs ] -> Int (List.length bs)
-      | [ Bottom ] -> Int 0
-      | args -> Term ("sizeof", args) );
-    ("cons", function [ x; l ] -> List (x :: list_of l) | args -> Term ("cons", args));
-    ( "cons2",
-      function
-      | [ a; b; l ] -> List (List [ a; b ] :: list_of l)
-      | args -> Term ("cons2", args) );
-    ( "cons3",
-      function
-      | [ a; b; c; l ] -> List (List [ a; b; c ] :: list_of l)
-      | args -> Term ("cons3", args) );
-    ( "append",
-      function [ a; b ] -> List (list_of a @ list_of b) | args -> Term ("append", args) );
     ("reverse", function [ l ] -> List (List.rev (list_of l)) | args -> Term ("reverse", args));
-    ( "lengthof",
-      function [ l ] -> Int (List.length (list_of l)) | args -> Term ("lengthof", args) );
     ( "head",
       function
       | [ List (x :: _) ] -> x
@@ -212,11 +290,6 @@ let functions : (string * (t list -> t)) list =
               | _ -> pf)
             a (pf_bindings b)
       | args -> Term ("unionpf", args) );
-    ("consmsg", fn_consmsg);
-    ( "mergemsgs",
-      function
-      | [ a; b ] -> List (list_of a @ list_of b)
-      | args -> Term ("merge$msgs", args) );
     ( "incrifzero",
       function
       | [ x; n ] -> if equal x (Int 0) then Int (int_of n + 1) else n
@@ -245,6 +318,10 @@ let functions : (string * (t list -> t)) list =
     ("nameof", function [ Name n ] -> Name n | [ v ] -> v | args -> Term ("nameof", args));
     ("not", function [ Bool b ] -> Bool (not b) | args -> Term ("not", args));
   ]
+
+let functions =
+  sequence_functions
+  @ List.map (fun (name, f) -> (name, flat_args f)) other_functions
 
 let constants : (string * t) list =
   [
@@ -275,6 +352,27 @@ let apply name args =
   match lookup_function name with
   | Some f -> f args
   | None -> Term (name, args)
+
+let resolve name =
+  match lookup_function name with
+  | Some f -> f
+  | None -> fun args -> Term (name, args)
+
+let rec has_rope = function
+  | Cat _ -> true
+  | List items | Set items | Term (_, items) -> List.exists has_rope items
+  | Pf bindings -> List.exists (fun (k, v) -> has_rope k || has_rope v) bindings
+  | Bottom | Int _ | Bool _ | Str _ | Name _ -> false
+
+let flatten v =
+  let rec copy = function
+    | (List _ | Cat _) as v -> List (List.map copy (to_list v))
+    | Set items -> Set (List.map copy items)
+    | Pf bindings -> Pf (List.map (fun (k, v) -> (copy k, copy v)) bindings)
+    | Term (f, args) -> Term (f, List.map copy args)
+    | (Bottom | Int _ | Bool _ | Str _ | Name _) as v -> v
+  in
+  if has_rope v then copy v else v
 
 (* Binary encoding --------------------------------------------------------- *)
 
@@ -319,6 +417,11 @@ let rec encode buf v =
   | List items ->
       Buffer.add_char buf '\005';
       encode_list buf items
+  | Cat (n, _, _) ->
+      (* the bytes of the flat list it denotes *)
+      Buffer.add_char buf '\005';
+      add_varint buf n;
+      iter_seq (encode buf) v
   | Set items ->
       Buffer.add_char buf '\006';
       encode_list buf items

@@ -11,7 +11,20 @@
 
     Values are immutable; sets and partial functions are kept in a canonical
     (sorted, duplicate-free) form so that structural equality coincides with
-    semantic equality. *)
+    semantic equality.
+
+    {b Sequences} have two representations. [List items] is the flat form;
+    [Cat (n, l, r)] is a rope: the concatenation of the sequences [l] and
+    [r] (each a [List] or a [Cat]) with its length [n] cached. Only the
+    list-package constructors build ropes ([append], [mergemsgs], and the
+    [cons] family onto a rope), which makes the left-recursive
+    [stmts0.CODE = Append(stmts1.CODE, stmt.CODE)] idiom linear rather
+    than quadratic. Every operation here treats a rope exactly as the flat
+    list it denotes: {!compare}, {!equal}, {!pp}, {!encode} (same bytes),
+    {!encoded_size}, {!set_elements}; {!decode} never builds one. Callers
+    outside this module observe a sequence through {!as_list} or
+    {!list_of}, never by matching [List] directly, and evaluators hand
+    results out through {!flatten}. *)
 
 type t =
   | Bottom  (** the undefined/absent value; also the paper's [no$msg] etc. *)
@@ -20,6 +33,9 @@ type t =
   | Str of string
   | Name of Interner.name  (** name-table index (intrinsic attributes) *)
   | List of t list  (** a sequence; tuples are short sequences *)
+  | Cat of int * t * t
+      (** a rope: [Cat (n, l, r)] is the sequence [l] followed by [r], of
+          length [n]; built only by this module *)
   | Set of t list  (** invariant: sorted by {!compare}, no duplicates *)
   | Pf of (t * t) list  (** partial function; invariant: key-sorted *)
   | Term of string * t list
@@ -57,7 +73,17 @@ val is_true : t -> bool
 (** [Bool true] is true; everything else false. *)
 
 val as_int : t -> int option
+
 val as_list : t -> t list option
+(** The items of a sequence ([List] or [Cat]); [None] for anything else. *)
+
+val list_of : t -> t list
+(** A value as the list-package functions see it: a sequence's items,
+    [[]] for {!Bottom}, a singleton for anything else. *)
+
+val flatten : t -> t
+(** The same value with every rope, at any depth, replaced by its flat
+    [List]; physically the argument when it holds no rope. *)
 
 (** {1 Standard function library} *)
 
@@ -83,6 +109,10 @@ val lookup_constant : string -> t option
 val apply : string -> t list -> t
 (** Apply a function by name: the interpreted one when known, otherwise an
     uninterpreted {!Term}. *)
+
+val resolve : string -> t list -> t
+(** [resolve name] binds {!apply}[ name] once: look the name up now and
+    return the function, so a compiled evaluator pays no lookup per call. *)
 
 (** {1 Binary encoding}
 

@@ -377,7 +377,7 @@ let test_coordinator_byte_identity () =
   Alcotest.(check int) "nothing redispatched" 0 report.Coordinator.redispatched;
   (* builds-once: each worker's session_builds equals the distinct
      session digests the (deterministic) plan assigned it *)
-  let affinity j = Option.map fst (Batch.culprit j) in
+  let affinity j = Option.map (fun a -> a.Batch.a_digest) (Batch.admit j) in
   let plan = Shard.plan ~workers:2 ~affinity jobs in
   let arr = Array.of_list jobs in
   let expected w =

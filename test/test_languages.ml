@@ -287,6 +287,29 @@ let test_pascal_type_errors () =
     "program p; var b : boolean; begin b := true + 1 end."
     "ArithmeticNeedsIntegers"
 
+(* The list package keeps translation linear: the Pascal AG builds its
+   code with left-recursive Append, and a program 4x larger must cost at
+   most ~4.6x the minor-heap words (a copying Append costs ~8x). An
+   allocation counter, not a clock, so the gate is machine-independent. *)
+let test_pascal_linear_allocation () =
+  let t = Pascal_ag.translator () in
+  let words n =
+    let program = Pascal_ag.synthetic_program n in
+    let before = Gc.minor_words () in
+    let compiled = Pascal_ag.compile ~translator:t program in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int)
+      (Printf.sprintf "n = %d compiles cleanly" n)
+      0
+      (List.length compiled.Pascal_ag.messages);
+    words
+  in
+  ignore (words 50);
+  let ratio = words 4000 /. words 1000 in
+  if ratio > 4.6 then
+    Alcotest.failf "minor words grow %.2fx from n = 1000 to 4000 (limit 4.6)"
+      ratio
+
 let test_pascal_errors_match_baseline () =
   let t = Pascal_ag.translator () in
   List.iter
@@ -475,5 +498,7 @@ let () =
           Alcotest.test_case "errors match baseline" `Quick
             test_pascal_errors_match_baseline;
           QCheck_alcotest.to_alcotest prop_pascal_matches_baseline;
+          Alcotest.test_case "linear allocation" `Quick
+            test_pascal_linear_allocation;
         ] );
     ]

@@ -524,7 +524,7 @@ let test_check_differential () =
     (0, List.length cases) (Session.stats sessions)
 
 (* A translate and then a check of one grammar file: one build, one
-   hit, one resident entry — and one culprit digest for both. *)
+   hit, one resident entry — and one admitted tenant for both. *)
 let test_check_shares_translate_session () =
   let g =
     Lg_corpus.Corpus_gen.generate ~name:"shared"
@@ -547,8 +547,8 @@ let test_check_shares_translate_session () =
       ~file:"input.txt" ()
   in
   let check = Jobfile.make ~op:Jobfile.Check ~file:path () in
-  Alcotest.(check bool) "one culprit digest" true
-    (Batch.culprit check = Batch.culprit translate && Batch.culprit check <> None);
+  Alcotest.(check bool) "one admitted tenant" true
+    (Batch.admit check = Batch.admit translate && Batch.admit check <> None);
   let sessions = Session.create_cache () in
   let o = Batch.run_job ~sessions translate in
   Alcotest.(check bool) "translate ok" true o.Batch.o_ok;
@@ -1766,7 +1766,8 @@ let test_update_worker_fatal_quarantine () =
 
 (* The pool measures each job once: a harness fill carries the timing
    its SLO histograms observed, a watchdog fill carries none — and the
-   wedged job's late return does not add one. *)
+   wedged job's late return neither adds one nor feeds the histograms;
+   it only counts server.late_returns. *)
 let test_pool_timing () =
   let metrics = Lg_support.Metrics.create () in
   let pool =
@@ -1796,19 +1797,33 @@ let test_pool_timing () =
   | _ -> Alcotest.fail "the wedged job must fail its deadline");
   Alcotest.(check bool) "no timing on a watchdog fill" true
     (Pool.timing wedged = None);
-  (* the harness observes service_seconds right before its (losing)
-     fill: two observations mean the wedged thunk's harness is done *)
-  let service_count () =
-    match Lg_support.Metrics.find metrics "server.service_seconds" with
+  let hist_count name =
+    match Lg_support.Metrics.find metrics name with
     | Some (Lg_support.Metrics.Histogram h) -> h.Lg_support.Metrics.h_count
     | _ -> 0
   in
+  (* the losing harness counts the late return as its last act: the
+     counter is the signal that the wedged thunk's harness is done *)
   let deadline = Unix.gettimeofday () +. 5.0 in
-  while service_count () < 2 && Unix.gettimeofday () < deadline do
+  while counter metrics "server.late_returns" < 1
+        && Unix.gettimeofday () < deadline
+  do
     Thread.delay 0.005
   done;
   Alcotest.(check bool) "wedged thunk returned" true (Atomic.get returned);
-  Alcotest.(check int) "its harness ran to the end" 2 (service_count ());
+  Alcotest.(check int) "late return counted" 1
+    (counter metrics "server.late_returns");
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " observed the prompt job only") 1
+        (hist_count name))
+    [
+      "server.service_seconds";
+      "server.queue_wait_seconds";
+      "server.job_seconds";
+      "server.service_recent_seconds";
+      "server.queue_wait_recent_seconds";
+    ];
   Alcotest.(check bool) "still no timing after the late return" true
     (Pool.timing wedged = None)
 
@@ -1946,6 +1961,83 @@ let test_ledger_is_histograms_with_crashes () =
   in
   Alcotest.(check bool) "crash time charged" true
     (num_field row "service_seconds" > 0.0)
+
+(* A grammar tenant is read and digested once, when its job is admitted:
+   a job whose grammar file is rewritten while it runs is struck,
+   quarantined and charged under the digest it was admitted with. *)
+let test_admission_survives_rewrite () =
+  let grammar = write_temp_grammar () in
+  Fun.protect ~finally:(fun () -> Sys.remove grammar) @@ fun () ->
+  let original = Lg_languages.Desk_calc.ag_source in
+  let admitted = Session.digest ~kind:"translator" ~source:original in
+  let rewritten = original ^ "\n" in
+  let metrics = Lg_support.Metrics.create () in
+  (* every job wedges well past its deadline: the watchdog fails it *)
+  let chaos =
+    Chaos.create ~metrics ~wedge:1.0
+      { Chaos.c_seed = 3; c_rate = 1.0; c_kinds = [ Chaos.Wedge ] }
+  in
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "srv.sock" in
+  let server =
+    Thread.create
+      (fun () ->
+        Server.serve ~workers:1 ~quarantine_after:1 ~deadline:0.3 ~chaos
+          ~metrics ~socket ())
+      ()
+  in
+  wait_for_socket socket;
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         ignore
+           (Server.request ~socket
+              (Lg_support.Json_out.parse {|{"op":"shutdown"}|}))
+       with Unix.Unix_error _ | Failure _ -> ());
+      Thread.join server)
+  @@ fun () ->
+  let answer = ref (-1) in
+  let client =
+    Thread.create
+      (fun () ->
+        answer :=
+          response_exit
+            (Server.request ~socket
+               (job_request
+                  (Jobfile.make ~id:"rewritten" ~source:"x := 10;\nprint x;\n"
+                     ~op:(Jobfile.Translate (Jobfile.Grammar grammar))
+                     ~file:"in.calc" ()))))
+      ()
+  in
+  (* the wedge fires in the worker, after admission: rewrite then *)
+  let until = Unix.gettimeofday () +. 10.0 in
+  while counter metrics "server.chaos.wedge" < 1 && Unix.gettimeofday () < until do
+    Thread.delay 0.002
+  done;
+  let oc = open_out_bin grammar in
+  output_string oc rewritten;
+  close_out oc;
+  Thread.join client;
+  Alcotest.(check int) "deadline exceeded" 50 !answer;
+  let health =
+    Server.request ~socket (Lg_support.Json_out.parse {|{"op":"health"}|})
+  in
+  let quarantined =
+    match response_field health "quarantined" with
+    | Lg_support.Json_out.Arr rows -> List.map (fun r -> str_field r "digest") rows
+    | _ -> Alcotest.fail "quarantined must be an array"
+  in
+  Alcotest.(check (list string)) "the admitted digest is quarantined"
+    [ admitted ] quarantined;
+  match tenant_rows socket with
+  | [ row ] ->
+      Alcotest.(check string) "charged to the admitted digest" admitted
+        (str_field row "digest");
+      Alcotest.(check int) "one job" 1
+        (Lg_support.Json_out.to_int (response_field row "jobs"));
+      Alcotest.(check int) "one strike" 1
+        (Lg_support.Json_out.to_int (response_field row "strikes"))
+  | rows -> Alcotest.failf "expected one tenant row, got %d" (List.length rows)
 
 (* A one-job tenant's ledger row is its finished event's timing. *)
 let test_finished_event_is_ledger_row () =
@@ -2119,5 +2211,7 @@ let () =
             test_ledger_is_histograms_with_crashes;
           Alcotest.test_case "finished event is the ledger row" `Quick
             test_finished_event_is_ledger_row;
+          Alcotest.test_case "admission survives a grammar rewrite" `Quick
+            test_admission_survives_rewrite;
         ] );
     ]

@@ -208,6 +208,195 @@ let prop_set_union_assoc =
         (Value.set_union (s a) (Value.set_union (s b) (s c)))
         (Value.set_union (Value.set_union (s a) (s b)) (s c)))
 
+(* ----- sequences: ropes against a flat-list model ----- *)
+
+(* The reference model is the list package as flat lists, written out
+   here independently of value.ml: every sequence a [List], [append] a
+   copy. Random programs over an environment of values run through the
+   model, through [Value.apply] by name, and through functions bound once
+   by [Value.resolve]; results must agree under [equal]/[compare] and
+   encode to the same bytes. *)
+module Model = struct
+  let items = function Value.List l -> l | Value.Bottom -> [] | v -> [ v ]
+
+  let apply name args =
+    let open Value in
+    match (name, args) with
+    | ("append" | "mergemsgs"), [ a; b ] -> List (items a @ items b)
+    | "cons", [ x; l ] -> List (x :: items l)
+    | "cons2", [ a; b; l ] -> List (List [ a; b ] :: items l)
+    | "head", [ List (x :: _) ] -> x
+    | "head", [ (List [] | Bottom) ] -> Bottom
+    | "tail", [ List (_ :: rest) ] -> List rest
+    | "tail", [ (List [] | Bottom) ] -> Bottom
+    | "first", [ List (x :: _) ] -> x
+    | "second", [ List (_ :: y :: _) ] -> y
+    | "lengthof", [ l ] -> Int (List.length (items l))
+    | "sizeof", [ (List l | Set l) ] -> Int (List.length l)
+    | "sizeof", [ Bottom ] -> Int 0
+    | "reverse", [ l ] -> List (List.rev (items l))
+    | "union", [ a; b ] ->
+        let elements = function
+          | Set l -> l
+          | Bottom -> []
+          | List l -> List.sort_uniq Value.compare l
+          | v -> [ v ]
+        in
+        set_of_list (elements a @ elements b)
+    | _ -> Term (name, args)
+end
+
+(* (model name, library spelling, arity) *)
+let rope_ops =
+  [
+    ("append", "Append", 2);
+    ("mergemsgs", "Merge$Msgs", 2);
+    ("cons", "Cons", 2);
+    ("cons2", "Cons2", 3);
+    ("head", "Head", 1);
+    ("tail", "Tail", 1);
+    ("first", "First", 1);
+    ("second", "Second", 1);
+    ("lengthof", "LengthOf", 1);
+    ("sizeof", "SizeOf", 1);
+    ("reverse", "Reverse", 1);
+    ("union", "Union", 2);
+  ]
+
+let encoded v =
+  let buf = Buffer.create 64 in
+  Value.encode buf v;
+  Buffer.contents buf
+
+let rope_program_gen =
+  let open QCheck.Gen in
+  let step =
+    map2 (fun op args -> (op, args)) (int_bound (List.length rope_ops - 1))
+      (list_repeat 3 (int_bound 1000))
+  in
+  list_size (int_range 1 60) step
+
+let print_program steps =
+  String.concat "; "
+    (List.map
+       (fun (op, args) ->
+         let name, _, arity = List.nth rope_ops op in
+         Printf.sprintf "%s%s" name
+           (String.concat ","
+              (List.map string_of_int (List.filteri (fun i _ -> i < arity) args))))
+       steps)
+
+(* Run one program; the environment grows by one value per step, and
+   operands index it modulo its size. *)
+let run_rope_program steps =
+  let seeds =
+    let open Value in
+    [
+      List [];
+      Bottom;
+      Int 7;
+      List [ Int 1; Int 2; Int 3 ];
+      List (List.init 12 (fun i -> Int i));
+      set_of_list [ Int 2; Int 5 ];
+    ]
+  in
+  let resolved =
+    List.map (fun (_, spelling, _) -> Value.resolve spelling) rope_ops
+  in
+  let env = Array.make (List.length seeds + List.length steps) [] in
+  List.iteri (fun i v -> env.(i) <- [ v; v; v ]) seeds;
+  let size = ref (List.length seeds) in
+  List.for_all
+    (fun (op, args) ->
+      let name, spelling, arity = List.nth rope_ops op in
+      (* operand [k] of each environment entry: model, by-name, bound *)
+      let operands k =
+        List.filteri (fun i _ -> i < arity) args
+        |> List.map (fun a -> List.nth env.(a mod !size) k)
+      in
+      let model = Model.apply name (operands 0) in
+      let by_name = Value.apply spelling (operands 1) in
+      let bound = (List.nth resolved op) (operands 2) in
+      let bytes = encoded model in
+      (* appends of appends can double a value per step: keep operands
+         small so no seed's program outgrows memory *)
+      env.(!size) <-
+        (if String.length bytes <= 20_000 then [ model; by_name; bound ]
+         else [ Value.List []; Value.List []; Value.List [] ]);
+      incr size;
+      let other = env.((op * 7919) mod !size) in
+      let agrees v =
+        Value.equal v model
+        && Value.compare v model = 0
+        && Value.compare model v = 0
+        && Int.compare (Value.compare v (List.nth other 1)) 0
+           = Int.compare (Value.compare model (List.hd other)) 0
+        && encoded v = bytes
+        && Value.encoded_size v = String.length bytes
+        && Value.to_string v = Value.to_string model
+        && Value.equal (Value.flatten v) model
+      in
+      agrees by_name && agrees bound)
+    steps
+
+let prop_rope_model =
+  QCheck.Test.make ~name:"ropes agree with the flat-list model" ~count:400
+    (QCheck.make ~print:print_program rope_program_gen)
+    run_rope_program
+
+(* A rope 10^5 deep in either direction flattens, compares, encodes and
+   measures without recursing on its depth: run under a 512 KB stack,
+   which a depth-recursive walk overflows. *)
+let test_rope_deep () =
+  let n = 100_000 in
+  let expected = List.init n (fun i -> Value.Int i) in
+  let left =
+    (* Append(acc, [i]): each step nests the previous rope on the left *)
+    let acc = ref (Value.List []) in
+    for i = 0 to n - 1 do
+      acc := Value.apply "Append" [ !acc; Value.List [ Value.Int i ] ]
+    done;
+    !acc
+  in
+  let right =
+    (* Cons(i, acc) onto a rope nests it on the right *)
+    let tail = List.init 20 (fun i -> Value.Int (n - 20 + i)) in
+    let acc =
+      ref
+        (Value.apply "Append"
+           [ Value.List (List.filteri (fun i _ -> i < 10) tail);
+             Value.List (List.filteri (fun i _ -> i >= 10) tail) ])
+    in
+    for i = n - 21 downto 0 do
+      acc := Value.apply "Cons" [ Value.Int i; !acc ]
+    done;
+    !acc
+  in
+  (match (left, right) with
+  | Value.Cat _, Value.Cat _ -> ()
+  | _ -> Alcotest.fail "the builders must produce ropes");
+  let flat = Value.List expected in
+  let g = Gc.get () in
+  Gc.set { g with Gc.stack_limit = 65_536 };
+  Fun.protect ~finally:(fun () -> Gc.set g) @@ fun () ->
+  List.iter
+    (fun (label, rope) ->
+      Alcotest.(check int) (label ^ " lengthof") n
+        (Option.get (Value.as_int (Value.apply "LengthOf" [ rope ])));
+      Alcotest.(check bool) (label ^ " items") true
+        (Option.get (Value.as_list rope) = expected);
+      Alcotest.(check bool) (label ^ " equal") true (Value.equal rope flat);
+      Alcotest.(check bool) (label ^ " flatten") true
+        (match Value.flatten rope with
+        | Value.List items -> items = expected
+        | _ -> false);
+      Alcotest.(check bool) (label ^ " encode") true
+        (encoded rope = encoded flat);
+      Alcotest.check check_value (label ^ " head") (Value.Int 0)
+        (Value.apply "Head" [ rope ]))
+    [ ("left-nested", left); ("right-nested", right) ];
+  Alcotest.(check int) "left vs right" 0 (Value.compare left right)
+
 (* ----- eventlog ----- *)
 
 let test_eventlog_null () =
@@ -320,5 +509,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_encode_roundtrip;
           QCheck_alcotest.to_alcotest prop_compare_total_order;
           QCheck_alcotest.to_alcotest prop_set_union_assoc;
+          QCheck_alcotest.to_alcotest prop_rope_model;
+          Alcotest.test_case "deep ropes" `Quick test_rope_deep;
         ] );
     ]
